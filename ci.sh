@@ -125,6 +125,24 @@ for t in "" "RUST_TEST_THREADS=1"; do
   }
 done
 
+# Independent-oracle checks: every driver configuration (serial drain, tree
+# parallel, tiled, event-chained at 1/2/4 devices x 1/2 workers, budgeted)
+# against a dense f64 Cholesky of the same permuted matrix — backward error
+# and entrywise agreement within c*n*u. Run by name and counted, so a filter
+# typo or a renamed test cannot silently skip them.
+echo "==> oracle suite (explicit, default + single test thread)"
+for t in "" "RUST_TEST_THREADS=1"; do
+  out=$(env $t cargo test --release --test oracle oracle_ 2>&1) || {
+    echo "$out"
+    exit 1
+  }
+  echo "$out" | grep -q "5 passed" || {
+    echo "expected exactly 5 oracle tests to run:"
+    echo "$out"
+    exit 1
+  }
+done
+
 # Property tests for the out-of-core planner: residency never exceeds the
 # budget at any event for arbitrary structures/budgets/ladders, and f64
 # refinement converges through 16-bit spill storage.
@@ -154,6 +172,12 @@ cargo bench -p mf-bench --bench gpu_pipeline
 # appearing wherever the proportional mapping splits a subtree.
 echo "==> multigpu bench (writes BENCH_multigpu.json)"
 cargo bench -p mf-bench --bench multigpu
+
+# Both files are purely simulated and deterministic: a regenerated copy must
+# match the committed one byte for byte, so any change to a simulated figure
+# has to be committed (and reviewed) together with the code that moved it.
+echo "==> simulated GPU figures reproduce exactly"
+git diff --exit-code BENCH_gpu.json BENCH_multigpu.json
 
 # Open-loop load bench for the service layer. Three invariants are asserted
 # inside the bench and panic (failing this step) on violation: every response

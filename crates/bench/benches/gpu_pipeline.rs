@@ -13,7 +13,7 @@
 //! dispatch path is exercised — the copy-optimized P4 transfer plan issues
 //! per-panel transfers that are ineligible for batching.
 
-use mf_core::{factor_permuted, FactorOptions, PipelineOptions, PolicyKind, PolicySelector};
+use mf_core::{factor_permuted, FactorOptions, PolicyKind, PolicySelector};
 use mf_gpusim::{GpuUtilization, Machine};
 use mf_matgen::PaperMatrix;
 use mf_sparse::symbolic::{analyze, Analysis};
@@ -75,7 +75,7 @@ fn main() {
         for p in POLICIES {
             let drain =
                 FactorOptions { selector: PolicySelector::Fixed(p), ..FactorOptions::default() };
-            let piped = FactorOptions { pipeline: PipelineOptions::pipelined(), ..drain.clone() };
+            let piped = FactorOptions { pipeline: true, ..drain.clone() };
             let rd = run(&an, &a32, &drain);
             let rp = run(&an, &a32, &piped);
             assert_eq!(

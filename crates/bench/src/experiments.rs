@@ -734,7 +734,7 @@ pub fn exp_table7(cfg: &ExpConfig, cache: &mut Option<SuiteData>) -> Report {
     r.line("encode their hardware's crossovers and never reach P4 at our scale.");
     r.line("CO-2GPU is the paper's estimate style (copy-optimized durations on a 2-worker");
     r.line("schedule model); MG-2GPU/MG-4GPU run the actual multi-GPU driver — proportional");
-    r.line("subtree mapping, peer-copy extend-add, cross-device look-ahead (DESIGN.md §4.13).");
+    r.line("subtree mapping, peer-copy extend-add, cross-device look-ahead (DESIGN.md §4.9).");
 
     // The columns above are all *simulated* quantities (virtual machine
     // clocks / schedule-model makespans). This section runs the real

@@ -61,18 +61,14 @@ impl MatrixRuns {
         self.run_with(PolicySelector::Oracle(self.dataset.oracle_table()), false)
     }
 
-    /// Like [`Self::run_with`], but through the pipelined GPU dispatch
-    /// driver (event-chained downloads, look-ahead uploads, batched small
-    /// fronts) instead of the drain-per-front driver.
+    /// Like [`Self::run_with`], but with pipelined GPU dispatch: the
+    /// event-chained driver on one device (event-gated downloads,
+    /// look-ahead uploads, batched small fronts) where its cost-model gate
+    /// predicts a win, the drain-per-front driver elsewhere.
     pub fn run_pipelined(&self, selector: PolicySelector, copy_optimized: bool) -> FactorStats {
         let mut machine = Machine::paper_node();
         let a32: SymCsc<f32> = self.analysis.permuted.0.cast();
-        let opts = FactorOptions {
-            selector,
-            copy_optimized,
-            pipeline: mf_core::PipelineOptions::pipelined(),
-            ..Default::default()
-        };
+        let opts = FactorOptions { selector, copy_optimized, pipeline: true, ..Default::default() };
         let (_, stats) = factor_permuted(
             &a32,
             &self.analysis.symbolic,
@@ -85,17 +81,12 @@ impl MatrixRuns {
     }
 
     /// Like [`Self::run_pipelined`], but across `ndev` simulated devices
-    /// through the multi-GPU driver (proportional subtree mapping,
-    /// peer-copy extend-add, cross-device look-ahead — DESIGN.md §4.13).
+    /// through the event-chained driver (proportional subtree mapping,
+    /// peer-copy extend-add, cross-device look-ahead — DESIGN.md §4.9).
     pub fn run_multigpu(&self, selector: PolicySelector, ndev: usize) -> FactorStats {
         let mut machine = Machine::paper_node();
         let a32: SymCsc<f32> = self.analysis.permuted.0.cast();
-        let opts = FactorOptions {
-            selector,
-            pipeline: mf_core::PipelineOptions::pipelined(),
-            devices: mf_core::MultiGpuOptions::devices(ndev),
-            ..Default::default()
-        };
+        let opts = FactorOptions { selector, pipeline: true, devices: ndev, ..Default::default() };
         let (_, stats) = factor_permuted(
             &a32,
             &self.analysis.symbolic,

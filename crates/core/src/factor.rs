@@ -15,14 +15,9 @@ use crate::arena::FrontArena;
 use crate::features::LinearPolicyModel;
 use crate::frontal::{
     assemble_front_into, charge_assemble, charge_panel_extract, charge_update_extract,
-    copy_update_packed, extract_panel_copy, extract_panel_into, ChildUpdate, Front,
+    copy_update_packed, extract_panel_into, ChildUpdate, Front,
 };
-use crate::fu::{
-    dispatch_fu, enqueue_batch_downloads, enqueue_downloads, execute_fu, finish_fu,
-    try_dispatch_gpu, try_dispatch_gpu_batch, BatchError, FuBatchPending, FuContext, FuError,
-    FuPending, DEFAULT_PANEL_WIDTH,
-};
-use crate::multigpu::MultiGpuOptions;
+use crate::fu::{execute_fu, FuContext, FuError, DEFAULT_PANEL_WIDTH};
 use crate::pinned_pool::PinnedPool;
 use crate::policy::{BaselineThresholds, PolicyKind};
 use crate::stats::{FactorStats, FuRecord};
@@ -78,47 +73,6 @@ pub enum FrontStorage {
     Heap,
 }
 
-/// Pipelined GPU dispatch (DESIGN.md §4.9): look-ahead staging of the next
-/// GPU-bound front while the current one computes, event-gated consumption
-/// of child updates, and batched dispatch of runs of small fronts.
-///
-/// The pipelined driver produces factor slabs **bitwise identical** to the
-/// drain-per-front driver at every setting here — only the simulated
-/// timeline (and therefore makespan and GPU utilization) changes. It does
-/// not collect per-call [`FuRecord`]s: with fronts overlapping on the
-/// device, per-front time attribution is ill-defined, so `record_stats`
-/// is ignored while `enabled` is set. Front storage is per-front heap
-/// buffers (front lifetimes overlap, which the postorder LIFO arena cannot
-/// express), so `front_storage` is ignored too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineOptions {
-    /// Run the pipelined driver. CPU-only machines always use the
-    /// drain-per-front driver regardless.
-    pub enabled: bool,
-    /// Maximum fronts with downloads still outstanding before the oldest is
-    /// finished (double/triple buffering of the staging pool falls out of
-    /// this — each outstanding front holds its pinned generations leased).
-    pub depth: usize,
-    /// Largest front size `s` eligible for batched dispatch.
-    pub batch_max_front: usize,
-    /// Maximum members of one batched dispatch (a run of consecutive
-    /// postorder P4-selected fronts with no producer/consumer pair inside).
-    pub batch_max_fronts: usize,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions { enabled: false, depth: 3, batch_max_front: 128, batch_max_fronts: 8 }
-    }
-}
-
-impl PipelineOptions {
-    /// Pipelining on, with the default look-ahead depth and batching.
-    pub fn pipelined() -> Self {
-        PipelineOptions { enabled: true, ..Default::default() }
-    }
-}
-
 /// Options controlling a numeric factorization run.
 #[derive(Debug, Clone)]
 pub struct FactorOptions {
@@ -135,25 +89,34 @@ pub struct FactorOptions {
     pub pinned_reuse: bool,
     /// Front working-storage backend (see [`FrontStorage`]).
     pub front_storage: FrontStorage,
-    /// Pipelined GPU dispatch (see [`PipelineOptions`]).
-    pub pipeline: PipelineOptions,
+    /// Pipelined GPU dispatch on a one-device GPU machine (DESIGN.md §4.9):
+    /// the event-chained driver of [`crate::multigpu`] with look-ahead
+    /// uploads, event-gated child updates and batched runs of small P4
+    /// fronts. A timing-only rehearsal keeps it only where it beats the
+    /// drain schedule. Factors stay bitwise identical to the drain driver;
+    /// per-call [`FuRecord`]s are not collected (`record_stats` is ignored)
+    /// and front storage is per-front heap buffers (`front_storage` is
+    /// ignored). CPU-only machines always drain.
+    pub pipeline: bool,
     /// Intra-front tiling (see [`TilingOptions`]); **off by default** —
     /// enable with [`TilingOptions::tiled`]. When enabled, CPU (P1) fronts
     /// at or above the threshold run the canonical tiled loop nest in every
     /// driver, and the parallel driver additionally schedules their tile
     /// tasks across workers.
     pub tiling: TilingOptions,
-    /// Multi-device execution (see [`MultiGpuOptions`]). With `count > 1`
-    /// on a GPU machine and pipelining enabled, the factorization routes
-    /// to the multi-GPU driver of [`crate::multigpu`].
-    pub devices: MultiGpuOptions,
+    /// Simulated devices per run. More than one on a GPU machine (in core)
+    /// runs the event-chained driver of [`crate::multigpu`] over a device
+    /// set of this size, whatever `pipeline` says; `record_stats` and
+    /// `front_storage` are then ignored as under `pipeline`.
+    pub devices: usize,
     /// Out-of-core residency budget in bytes for the factor slab plus the
     /// front arena (see `mf-core::ooc`, DESIGN.md §4.14). `None` runs
     /// fully in core. With a budget set, the drivers replay the
     /// deterministic spill schedule of [`crate::ooc::plan_ooc`]: transfers
     /// are charged on the executing clock, `FactorStats::ooc` reports the
-    /// traffic, and pipelined/multi-GPU dispatch falls back to the drain
-    /// schedule (whose front lifetimes the residency plan models exactly).
+    /// traffic, and event-chained (pipelined or multi-device) dispatch
+    /// falls back to the drain schedule (whose front lifetimes the
+    /// residency plan models exactly).
     /// Budgets below [`crate::ooc::min_feasible_budget`] fail with
     /// [`FactorError::BudgetTooSmall`].
     pub memory_budget: Option<usize>,
@@ -175,9 +138,9 @@ impl Default for FactorOptions {
             record_stats: false,
             pinned_reuse: true,
             front_storage: FrontStorage::default(),
-            pipeline: PipelineOptions::default(),
+            pipeline: false,
             tiling: TilingOptions::default(),
-            devices: MultiGpuOptions::default(),
+            devices: 1,
             memory_budget: None,
             ladder: crate::ooc::PrecisionLadder::default(),
             tiers: TierParams::default(),
@@ -370,20 +333,9 @@ pub(crate) fn process_supernode<'c, T: Scalar + 'c>(
 
     let policy = opts.selector.choose(sn, m, k);
     let t0 = machine.host.now();
-    let mut ctx = FuContext {
-        machine,
-        pool,
-        panel_width: opts.panel_width,
-        copy_optimized: opts.copy_optimized,
-        timing_only: false,
-        kernel_threads,
-        tiling: opts.tiling,
-    };
-    let outcome = execute_fu(&mut front, policy, &mut ctx).map_err(|e| match e {
-        FuError::NotPositiveDefinite { local_column } => {
-            FactorError::NotPositiveDefinite { column: info.col_start + local_column }
-        }
-    })?;
+    let mut ctx = FuContext { kernel_threads, ..fu_ctx(machine, pool, opts, false) };
+    let outcome = execute_fu(&mut front, policy, &mut ctx)
+        .map_err(|e| fu_err_to_factor(info.col_start, e))?;
     let t1 = machine.host.now();
 
     let record = if opts.record_stats {
@@ -422,16 +374,18 @@ pub fn factor_permuted<T: Scalar>(
     machine: &mut Machine,
     opts: &FactorOptions,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    // A memory budget forces the drain schedule: the pipelined/multi-GPU
-    // drivers overlap front lifetimes in ways the LIFO residency plan does
-    // not model, and drain keeps budgeted numerics identical at every
-    // driver and worker count.
-    let in_core = opts.memory_budget.is_none();
-    if in_core && opts.devices.count > 1 && opts.pipeline.enabled && machine.gpu.is_some() {
-        return crate::multigpu::factor_permuted_multigpu(a, symbolic, perm, machine, opts);
-    }
-    if in_core && opts.pipeline.enabled && machine.gpu.is_some() {
-        return factor_permuted_pipelined(a, symbolic, perm, machine, opts);
+    // A memory budget forces the drain schedule: the event-chained driver
+    // overlaps front lifetimes in ways the LIFO residency plan does not
+    // model, and drain keeps budgeted numerics identical at every driver
+    // and worker count.
+    let event_chained = opts.pipeline || opts.devices > 1;
+    if event_chained && opts.memory_budget.is_none() && machine.gpu.is_some() {
+        // One device passes the cost-model gate first; a device set always
+        // runs event-chained.
+        if opts.devices > 1 || pipelining_wins(a, symbolic, opts, machine) {
+            let machines = std::slice::from_mut(machine);
+            return crate::multigpu::factor_permuted_multigpu(a, symbolic, perm, machines, opts);
+        }
     }
     // Pin the deterministic out-of-core schedule before any numbers move;
     // infeasible budgets fail typed here.
@@ -625,21 +579,12 @@ pub(crate) fn replay_step_io(
     }
 }
 
-// ----- pipelined driver ------------------------------------------------------
+// ----- event-chained support ----------------------------------------------
 
-/// Build the standard (non-timing-only, serial) F-U context.
+/// Build an F-U context from the run options (serial: no kernel-thread cap).
+/// `timing_only` runs the full F-U schedule with every numeric touch
+/// suppressed — the rehearsals behind the pipelining cost model.
 pub(crate) fn fu_ctx<'a>(
-    machine: &'a mut Machine,
-    pool: &'a mut PinnedPool,
-    opts: &FactorOptions,
-) -> FuContext<'a> {
-    fu_ctx_mode(machine, pool, opts, false)
-}
-
-/// [`fu_ctx`] with an explicit timing-only flag — the rehearsal drivers
-/// behind the pipelined-vs-drain cost model run the full F-U schedule with
-/// every numeric touch suppressed.
-pub(crate) fn fu_ctx_mode<'a>(
     machine: &'a mut Machine,
     pool: &'a mut PinnedPool,
     opts: &FactorOptions,
@@ -665,540 +610,53 @@ pub(crate) fn fu_err_to_factor(col_start: usize, e: FuError) -> FactorError {
     }
 }
 
-fn batch_err_to_factor(symbolic: &SymbolicFactor, sns: &[usize], e: BatchError) -> FactorError {
-    fu_err_to_factor(symbolic.supernodes[sns[e.member]].col_start, e.error)
-}
-
-/// A dispatched front (phase 1 done) whose downloads have not been enqueued
-/// yet. Holding the flush back until the *next* front dispatches is what
-/// lets that front's upload overtake this one's downloads on the copy
-/// engine while the compute engine is still busy here.
-struct StagedFront<T> {
-    sns: Vec<usize>,
-    bufs: Vec<Vec<T>>,
-    kind: StagedKind,
-}
-
-enum StagedKind {
-    Single(FuPending),
-    Batch(FuBatchPending),
-}
-
-/// A flushed front: downloads enqueued (event-gated), panel and update
-/// already extracted (the simulator computes data eagerly — only *time* is
-/// outstanding), host charges for the extraction deferred to finish.
-struct InflightFront {
-    sns: Vec<usize>,
-    /// `(s, k, m)` per member — the deferred extract-charge dimensions.
-    extracts: Vec<(usize, usize, usize)>,
-    pending: FuPending,
-}
-
-/// State of the pipelined postorder driver (see [`PipelineOptions`]).
-struct PipeDriver<'a, T> {
-    symbolic: &'a SymbolicFactor,
-    opts: &'a FactorOptions,
-    panel_ptr: Vec<usize>,
-    slab: Vec<T>,
-    /// Packed `m × m` updates awaiting their parent's extend-add.
-    updates: Vec<Option<Vec<T>>>,
-    staged: Option<StagedFront<T>>,
-    inflight: Vec<InflightFront>,
-    stats: FactorStats,
-    rel: Vec<usize>,
-    live: usize,
-    peak: usize,
-    /// Timing-only rehearsal mode: charge every simulated cost the real run
-    /// would charge, touch no numeric data. Simulated durations depend only
-    /// on shapes and machine configuration, so the rehearsed makespan is
-    /// exact — this is what the pipelined-vs-drain cost model runs on a
-    /// virtual twin machine.
-    timing: bool,
-}
-
-impl<T: Scalar> PipeDriver<'_, T> {
-    fn run(
-        &mut self,
-        a: &SymCsc<T>,
-        machine: &mut Machine,
-        pool: &mut PinnedPool,
-    ) -> Result<(), FactorError> {
-        let post = &self.symbolic.postorder;
-        let mut i = 0;
-        while i < post.len() {
-            let run = self.batch_run_len(i);
-            if run >= 2 {
-                let sns = post[i..i + run].to_vec();
-                self.step_batch(a, &sns, machine, pool)?;
-                i += run;
-            } else {
-                self.step_single(a, post[i], machine, pool)?;
-                i += 1;
-            }
-        }
-        self.flush_staged(machine, pool);
-        self.drain_inflight(machine, pool);
-        Ok(())
-    }
-
-    /// Length of the batchable run starting at postorder position `start`:
-    /// consecutive P4-selected fronts no larger than `batch_max_front`,
-    /// with no producer/consumer pair inside the run (a member's children
-    /// must have flushed before it assembles). Returns 1 when the front at
-    /// `start` dispatches alone.
-    fn batch_run_len(&self, start: usize) -> usize {
-        let pl = &self.opts.pipeline;
-        // Batches run the naive whole-front P4 plan; under the
-        // copy-optimized plan members dispatch singly so the transfer byte
-        // counts (and the bits) match the drain driver.
-        if self.opts.copy_optimized || pl.batch_max_fronts < 2 {
-            return 1;
-        }
-        let symbolic = self.symbolic;
-        let post = &symbolic.postorder;
-        let mut len = 0;
-        while len < pl.batch_max_fronts && start + len < post.len() {
-            let sn = post[start + len];
-            let info = &symbolic.supernodes[sn];
-            let (s, k, m) = (info.front_size(), info.k(), info.m());
-            if s > pl.batch_max_front || self.opts.selector.choose(sn, m, k) != PolicyKind::P4 {
-                break;
-            }
-            if symbolic.children[sn].iter().any(|c| post[start..start + len].contains(c)) {
-                break;
-            }
-            len += 1;
-        }
-        len.max(1)
-    }
-
-    /// Make `sn`'s child updates consumable: flush the staged front if it
-    /// holds a child (producing the update data), then block the host on
-    /// the d2h completion *event* of any in-flight entry holding a child —
-    /// an event wait, not a device drain.
-    fn ready_children(&mut self, sn: usize, machine: &mut Machine, pool: &mut PinnedPool) {
-        let symbolic = self.symbolic;
-        let kids = &symbolic.children[sn];
-        if self.staged.as_ref().is_some_and(|st| st.sns.iter().any(|x| kids.contains(x))) {
-            self.flush_staged(machine, pool);
-        }
-        let mut j = 0;
-        while j < self.inflight.len() {
-            if self.inflight[j].sns.iter().any(|x| kids.contains(x)) {
-                let e = self.inflight.remove(j);
-                self.finish_entry(e, machine, pool);
-            } else {
-                j += 1;
-            }
-        }
-    }
-
-    /// Assemble `sn`'s front into a fresh buffer, consuming its children's
-    /// packed updates.
-    fn assemble(&mut self, a: &SymCsc<T>, sn: usize, machine: &mut Machine) -> Vec<T> {
-        let symbolic = self.symbolic;
-        let info = &symbolic.supernodes[sn];
-        let s = info.front_size();
-        self.stats.front_alloc_events += 1;
-        if self.timing {
-            for &c in &symbolic.children[sn] {
-                self.updates[c].take().expect("child update must exist in postorder");
-            }
-            self.live += s * s;
-            self.peak = self.peak.max(self.live);
-            let a_nnz = (info.col_start..info.col_end).map(|c| a.col_rows(c).len()).sum();
-            charge_assemble::<T>(
-                a_nnz,
-                s,
-                info.k(),
-                symbolic.children[sn].iter().map(|&c| symbolic.supernodes[c].m()),
-                &mut machine.host,
-            );
-            return Vec::new();
-        }
-        let child_bufs: Vec<(usize, Vec<T>)> = symbolic.children[sn]
-            .iter()
-            .map(|&c| (c, self.updates[c].take().expect("child update must exist in postorder")))
-            .collect();
-        let mut front_data = vec![T::ZERO; s * s];
-        self.live += s * s;
-        self.peak = self.peak.max(self.live);
-        let children = child_bufs.iter().map(|(c, d)| ChildUpdate {
-            rows: symbolic.supernodes[*c].update_rows(),
-            data: &d[..],
-        });
-        assemble_front_into(a, info, children, &mut front_data, &mut self.rel, &mut machine.host);
-        for (_, d) in child_bufs {
-            self.live -= d.len();
-        }
-        front_data
-    }
-
-    /// Drain-path extraction for fronts with no GPU work outstanding:
-    /// numerics and charges together, as the drain driver orders them.
-    fn extract_inline(&mut self, sn: usize, front: &Front<'_, T>, machine: &mut Machine) {
-        let info = &self.symbolic.supernodes[sn];
-        let (s, k, m) = (info.front_size(), info.k(), info.m());
-        if self.timing {
-            charge_panel_extract::<T>(s, k, &mut machine.host);
-            charge_update_extract::<T>(m, &mut machine.host);
-            if m > 0 {
-                self.stats.front_alloc_events += 1;
-                self.updates[sn] = Some(Vec::new());
-            }
-            return;
-        }
-        let (p0, p1) = (self.panel_ptr[sn], self.panel_ptr[sn + 1]);
-        extract_panel_into(front, &mut self.slab[p0..p1], &mut machine.host);
-        charge_update_extract::<T>(m, &mut machine.host);
-        if m > 0 {
-            self.stats.front_alloc_events += 1;
-            let mut u = vec![T::ZERO; m * m];
-            copy_update_packed(front.data, s, k, &mut u);
-            self.live += m * m;
-            self.updates[sn] = Some(u);
-        }
-    }
-
-    /// Phase 2 for the staged front: enqueue its event-gated downloads,
-    /// extract the panel and update eagerly (data exists; time is still
-    /// outstanding) so the front buffer can drop, and move it in flight
-    /// with the extraction charges deferred to finish.
-    fn flush_staged(&mut self, machine: &mut Machine, pool: &mut PinnedPool) {
-        let Some(StagedFront { sns, mut bufs, kind }) = self.staged.take() else { return };
-        let symbolic = self.symbolic;
-        let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-        let pending = match kind {
-            StagedKind::Single(mut pending) => {
-                let info = &symbolic.supernodes[sns[0]];
-                let mut front = Front { s: info.front_size(), k: info.k(), data: &mut bufs[0] };
-                enqueue_downloads(&mut front, &mut pending, &mut ctx);
-                pending
-            }
-            StagedKind::Batch(batch) => {
-                let mut fronts: Vec<Front<'_, T>> = sns
-                    .iter()
-                    .zip(bufs.iter_mut())
-                    .map(|(&sn, buf)| {
-                        let info = &symbolic.supernodes[sn];
-                        Front { s: info.front_size(), k: info.k(), data: &mut buf[..] }
-                    })
-                    .collect();
-                enqueue_batch_downloads(&mut fronts, batch, &mut ctx)
-            }
-        };
-        let mut extracts = Vec::with_capacity(sns.len());
-        for (&sn, buf) in sns.iter().zip(bufs.iter_mut()) {
-            let info = &symbolic.supernodes[sn];
-            let (s, k, m) = (info.front_size(), info.k(), info.m());
-            let front = Front { s, k, data: &mut buf[..] };
-            if self.timing {
-                if m > 0 {
-                    self.stats.front_alloc_events += 1;
-                    self.updates[sn] = Some(Vec::new());
-                }
-            } else {
-                let (p0, p1) = (self.panel_ptr[sn], self.panel_ptr[sn + 1]);
-                extract_panel_copy(&front, &mut self.slab[p0..p1]);
-                if m > 0 {
-                    self.stats.front_alloc_events += 1;
-                    let mut u = vec![T::ZERO; m * m];
-                    copy_update_packed(front.data, s, k, &mut u);
-                    self.live += m * m;
-                    self.updates[sn] = Some(u);
-                }
-            }
-            self.live -= s * s;
-            extracts.push((s, k, m));
-        }
-        self.inflight.push(InflightFront { sns, extracts, pending });
-    }
-
-    /// Phase 3 for one in-flight entry: host waits on its `done` event,
-    /// device buffers free, and the deferred extraction charges land in the
-    /// drain driver's per-front order.
-    fn finish_entry(&mut self, entry: InflightFront, machine: &mut Machine, pool: &mut PinnedPool) {
-        let InflightFront { extracts, mut pending, .. } = entry;
-        let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-        finish_fu(&mut pending, &mut ctx);
-        for (s, k, m) in extracts {
-            charge_panel_extract::<T>(s, k, &mut machine.host);
-            charge_update_extract::<T>(m, &mut machine.host);
-        }
-    }
-
-    fn drain_inflight(&mut self, machine: &mut Machine, pool: &mut PinnedPool) {
-        while !self.inflight.is_empty() {
-            let e = self.inflight.remove(0);
-            self.finish_entry(e, machine, pool);
-        }
-    }
-
-    /// Finish the oldest in-flight entries until at most `depth` remain.
-    fn enforce_depth(&mut self, machine: &mut Machine, pool: &mut PinnedPool) {
-        while self.inflight.len() > self.opts.pipeline.depth {
-            let e = self.inflight.remove(0);
-            self.finish_entry(e, machine, pool);
-        }
-    }
-
-    fn step_single(
-        &mut self,
-        a: &SymCsc<T>,
-        sn: usize,
-        machine: &mut Machine,
-        pool: &mut PinnedPool,
-    ) -> Result<(), FactorError> {
-        let symbolic = self.symbolic;
-        let info = &symbolic.supernodes[sn];
-        let (s, k, m) = (info.front_size(), info.k(), info.m());
-        self.ready_children(sn, machine, pool);
-        let mut front_data = self.assemble(a, sn, machine);
-        let mut front = Front { s, k, data: &mut front_data };
-        let policy = self.opts.selector.choose(sn, m, k);
-        let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-        let dispatched = try_dispatch_gpu(&mut front, policy, &mut ctx)
-            .map_err(|e| fu_err_to_factor(info.col_start, e))?;
-        let pending = match dispatched {
-            Some(p) => p,
-            None => {
-                // Device OOM: reach the drain driver's empty-device state
-                // before retrying, so P1-fallback decisions match it.
-                self.flush_staged(machine, pool);
-                self.drain_inflight(machine, pool);
-                let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-                dispatch_fu(&mut front, policy, &mut ctx)
-                    .map_err(|e| fu_err_to_factor(info.col_start, e))?
-            }
-        };
-        if pending.oom_fallback() {
-            self.stats.oom_fallbacks += 1;
-        }
-        if pending.is_done() {
-            // CPU-resident result (P1, or an m = 0 P2/P3 pivot): nothing to
-            // pipeline.
-            self.extract_inline(sn, &front, machine);
-            self.live -= s * s;
-            return Ok(());
-        }
-        // Dispatch-before-flush: this front's upload is already queued, so
-        // flushing the previous front's downloads now cannot delay it.
-        self.flush_staged(machine, pool);
-        self.staged = Some(StagedFront {
-            sns: vec![sn],
-            bufs: vec![front_data],
-            kind: StagedKind::Single(pending),
-        });
-        self.enforce_depth(machine, pool);
-        Ok(())
-    }
-
-    fn step_batch(
-        &mut self,
-        a: &SymCsc<T>,
-        sns: &[usize],
-        machine: &mut Machine,
-        pool: &mut PinnedPool,
-    ) -> Result<(), FactorError> {
-        let symbolic = self.symbolic;
-        let mut bufs: Vec<Vec<T>> = Vec::with_capacity(sns.len());
-        for &sn in sns {
-            self.ready_children(sn, machine, pool);
-            bufs.push(self.assemble(a, sn, machine));
-        }
-        let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-        let mut fronts: Vec<Front<'_, T>> = sns
-            .iter()
-            .zip(bufs.iter_mut())
-            .map(|(&sn, buf)| {
-                let info = &symbolic.supernodes[sn];
-                Front { s: info.front_size(), k: info.k(), data: &mut buf[..] }
-            })
-            .collect();
-        let first = try_dispatch_gpu_batch(&mut fronts, &mut ctx)
-            .map_err(|e| batch_err_to_factor(symbolic, sns, e))?;
-        drop(fronts);
-        let batch = match first {
-            Some(b) => Some(b),
-            None => {
-                // Combined allocation OOM: drain to the empty-device state
-                // and retry once before degrading to per-member dispatch.
-                self.flush_staged(machine, pool);
-                self.drain_inflight(machine, pool);
-                let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-                let mut fronts: Vec<Front<'_, T>> = sns
-                    .iter()
-                    .zip(bufs.iter_mut())
-                    .map(|(&sn, buf)| {
-                        let info = &symbolic.supernodes[sn];
-                        Front { s: info.front_size(), k: info.k(), data: &mut buf[..] }
-                    })
-                    .collect();
-                try_dispatch_gpu_batch(&mut fronts, &mut ctx)
-                    .map_err(|e| batch_err_to_factor(symbolic, sns, e))?
-            }
-        };
-        match batch {
-            Some(b) => {
-                self.flush_staged(machine, pool);
-                self.staged =
-                    Some(StagedFront { sns: sns.to_vec(), bufs, kind: StagedKind::Batch(b) });
-                self.enforce_depth(machine, pool);
-            }
-            None => {
-                // The run does not fit even on an empty device: dispatch
-                // members one by one (drained, so every decision matches
-                // the drain driver's).
-                for (&sn, mut buf) in sns.iter().zip(bufs) {
-                    let info = &symbolic.supernodes[sn];
-                    let (s, k) = (info.front_size(), info.k());
-                    let mut front = Front { s, k, data: &mut buf[..] };
-                    let mut ctx = fu_ctx_mode(machine, pool, self.opts, self.timing);
-                    let mut pending = dispatch_fu(&mut front, PolicyKind::P4, &mut ctx)
-                        .map_err(|e| fu_err_to_factor(info.col_start, e))?;
-                    enqueue_downloads(&mut front, &mut pending, &mut ctx);
-                    finish_fu(&mut pending, &mut ctx);
-                    if pending.oom_fallback() {
-                        self.stats.oom_fallbacks += 1;
-                    }
-                    self.extract_inline(sn, &front, machine);
-                    self.live -= s * s;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Timing-only rehearsal of one driver schedule on a *virtual twin* of
-/// `machine`: same CPU and GPU configuration, fresh clocks, device memory
-/// and staging pool in virtual mode. Every simulated duration depends only
-/// on shapes and configuration — never on numeric data — so the rehearsed
-/// makespan equals the corresponding real driver's exactly, including OOM
-/// fallback decisions and pinned-pool waits. Costs two data-free passes
-/// over the supernode list; no numeric buffer is allocated or touched.
-fn rehearse_makespan<T: Scalar>(
+/// The cost-model gate of single-device pipelining: rehearse the
+/// event-chained and the drain schedule timing-only, each on a *virtual
+/// twin* of `machine` (same CPU and GPU configuration, fresh clocks, device
+/// memory and staging pool in virtual mode), and pipeline only when that
+/// is strictly faster. Every simulated duration depends only on shapes and
+/// configuration — never on numeric data — so each rehearsed makespan
+/// equals the real driver's exactly, OOM fallbacks and pinned-pool waits
+/// included. Both drivers produce bitwise-identical factors, so this is
+/// purely a makespan decision: front mixes that lose more to pinned-pool
+/// growth and look-ahead chaining than overlap buys back (narrow-treed
+/// P2-heavy suites) drain and report speedup 1.0 instead of a regression.
+fn pipelining_wins<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
     opts: &FactorOptions,
     machine: &Machine,
-    pipelined: bool,
-) -> f64 {
-    let gpu_cfg = machine.gpu.as_ref().expect("pipelined routing requires a GPU").config().clone();
-    let mut twin = Machine::with_gpu(machine.host.config().clone(), gpu_cfg);
-    if let Some(g) = twin.gpu.as_mut() {
+) -> bool {
+    let gpu_cfg = machine.gpu.as_ref().expect("pipelining requires a GPU").config();
+    let twin = || Machine::with_gpu(machine.host.config().clone(), gpu_cfg.clone());
+    let t_pipe = crate::multigpu::rehearse_makespan(a, symbolic, &mut twin(), opts);
+
+    // The drain driver's per-front charge sequence, data-free: assembly,
+    // the full F-U schedule (drained per front), panel and update
+    // extraction. Arena/heap front storage charge identically, so the
+    // rehearsal needs neither.
+    let mut drain = twin();
+    if let Some(g) = drain.gpu.as_mut() {
         g.set_virtual(true);
     }
     let mut pool =
         if opts.pinned_reuse { PinnedPool::new(2) } else { PinnedPool::without_reuse(2) };
     pool.set_virtual(true);
-    if pipelined {
-        let nsn = symbolic.num_supernodes();
-        let mut drv = PipeDriver {
-            symbolic,
-            opts,
-            panel_ptr: symbolic.panel_ptr(),
-            slab: Vec::new(),
-            updates: (0..nsn).map(|_| None).collect(),
-            staged: None,
-            inflight: Vec::new(),
-            stats: FactorStats::default(),
-            rel: Vec::new(),
-            live: 0,
-            peak: 0,
-            timing: true,
-        };
-        drv.run(a, &mut twin, &mut pool)
+    let mut empty: [T; 0] = [];
+    for &sn in &symbolic.postorder {
+        let info = &symbolic.supernodes[sn];
+        let (s, k, m) = (info.front_size(), info.k(), info.m());
+        let a_nnz = (info.col_start..info.col_end).map(|c| a.col_rows(c).len()).sum();
+        let child_ms = symbolic.children[sn].iter().map(|&c| symbolic.supernodes[c].m());
+        charge_assemble::<T>(a_nnz, s, k, child_ms, &mut drain.host);
+        let mut front = Front { s, k, data: &mut empty };
+        let policy = opts.selector.choose(sn, m, k);
+        execute_fu(&mut front, policy, &mut fu_ctx(&mut drain, &mut pool, opts, true))
             .expect("timing-only rehearsal sees no data, so no pivot can fail");
-    } else {
-        // The drain driver's per-front charge sequence, data-free: assembly,
-        // the full F-U schedule (drained per front), panel and update
-        // extraction. Arena/heap front storage charge identically, so the
-        // rehearsal needs neither.
-        let mut empty: [T; 0] = [];
-        for &sn in &symbolic.postorder {
-            let info = &symbolic.supernodes[sn];
-            let (s, k, m) = (info.front_size(), info.k(), info.m());
-            let a_nnz = (info.col_start..info.col_end).map(|c| a.col_rows(c).len()).sum();
-            charge_assemble::<T>(
-                a_nnz,
-                s,
-                k,
-                symbolic.children[sn].iter().map(|&c| symbolic.supernodes[c].m()),
-                &mut twin.host,
-            );
-            let mut front = Front { s, k, data: &mut empty };
-            let policy = opts.selector.choose(sn, m, k);
-            let mut ctx = fu_ctx_mode(&mut twin, &mut pool, opts, true);
-            execute_fu(&mut front, policy, &mut ctx)
-                .expect("timing-only rehearsal sees no data, so no pivot can fail");
-            charge_panel_extract::<T>(s, k, &mut twin.host);
-            charge_update_extract::<T>(m, &mut twin.host);
-        }
+        charge_panel_extract::<T>(s, k, &mut drain.host);
+        charge_update_extract::<T>(m, &mut drain.host);
     }
-    twin.elapsed()
-}
-
-/// The pipelined counterpart of [`factor_permuted`] (selected via
-/// [`PipelineOptions::enabled`] on a GPU machine).
-///
-/// Per-front numeric work is byte-for-byte the drain driver's — assembly in
-/// postorder, the same staged f32 kernels in the same order, extend-add of
-/// child updates in postorder child rank — so factor slabs are **bitwise
-/// identical** to the drain driver's. What changes is when the host blocks:
-/// instead of a full device drain after every front, each front's downloads
-/// gate on completion events, the next front's upload is dispatched before
-/// the previous front's downloads flush, and runs of small P4 fronts share
-/// one dispatch.
-fn factor_permuted_pipelined<T: Scalar>(
-    a: &SymCsc<T>,
-    symbolic: &SymbolicFactor,
-    perm: &Permutation,
-    machine: &mut Machine,
-    opts: &FactorOptions,
-) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    // Cost-model gate: rehearse both schedules on a virtual twin and keep
-    // the pipeline only when it is predicted to win. Both drivers produce
-    // bitwise-identical factors, so this is purely a makespan decision —
-    // and not a heuristic one: the rehearsal replays every simulated charge
-    // the real run would make, so the prediction is exact. Matrices whose
-    // front mix loses more to pinned-pool growth and look-ahead chaining
-    // than overlap buys back (narrow-treed P2-heavy suites) run the drain
-    // schedule and report speedup 1.0 instead of a regression.
-    let t_pipe = rehearse_makespan(a, symbolic, opts, machine, true);
-    let t_drain = rehearse_makespan(a, symbolic, opts, machine, false);
-    if t_pipe >= t_drain {
-        let drain = FactorOptions {
-            pipeline: PipelineOptions { enabled: false, ..opts.pipeline },
-            ..opts.clone()
-        };
-        return factor_permuted(a, symbolic, perm, machine, &drain);
-    }
-    let nsn = symbolic.num_supernodes();
-    let mut pool =
-        if opts.pinned_reuse { PinnedPool::new(2) } else { PinnedPool::without_reuse(2) };
-    let wall0 = std::time::Instant::now();
-    let mut drv = PipeDriver {
-        symbolic,
-        opts,
-        panel_ptr: symbolic.panel_ptr(),
-        slab: vec![T::ZERO; symbolic.factor_slab_len()],
-        updates: (0..nsn).map(|_| None).collect(),
-        staged: None,
-        inflight: Vec::new(),
-        stats: FactorStats { front_alloc_events: 1, ..Default::default() },
-        rel: Vec::new(),
-        live: 0,
-        peak: 0,
-        timing: false,
-    };
-    drv.run(a, machine, &mut pool)?;
-    let PipeDriver { panel_ptr, slab, mut stats, peak, .. } = drv;
-    stats.peak_front_bytes = peak * T::BYTES;
-    stats.total_time = machine.elapsed();
-    stats.gpu = machine.gpu.as_ref().map(|g| g.utilization(stats.total_time));
-    stats.wall_time = wall0.elapsed().as_secs_f64();
-    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab, panel_ptr }, stats))
+    t_pipe < drain.elapsed()
 }
 
 #[cfg(test)]
@@ -1375,7 +833,7 @@ mod tests {
         let analysis =
             analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
                 .unwrap();
-        let run = |pipeline: PipelineOptions, selector: PolicySelector| {
+        let run = |pipeline: bool, selector: PolicySelector| {
             let mut machine = Machine::paper_node();
             let opts = FactorOptions { selector, pipeline, ..Default::default() };
             factor_permuted(
@@ -1394,8 +852,8 @@ mod tests {
             (PolicySelector::Fixed(PolicyKind::P4), true),
             (PolicySelector::Baseline(BaselineThresholds::default()), false),
         ] {
-            let (fd, sd) = run(PipelineOptions::default(), selector.clone());
-            let (fp, sp) = run(PipelineOptions::pipelined(), selector);
+            let (fd, sd) = run(false, selector.clone());
+            let (fp, sp) = run(true, selector);
             let bd: Vec<u64> = fd.slab.iter().map(|x| x.to_bits()).collect();
             let bp: Vec<u64> = fp.slab.iter().map(|x| x.to_bits()).collect();
             assert_eq!(bd, bp, "pipelined factor must match the drain driver bitwise");
@@ -1432,7 +890,7 @@ mod tests {
             analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
                 .unwrap();
         let a32: SymCsc<f32> = analysis.permuted.0.cast();
-        let run = |pipeline: PipelineOptions, policy: PolicyKind| {
+        let run = |pipeline: bool, policy: PolicyKind| {
             let mut machine = Machine::paper_node();
             let opts = FactorOptions {
                 selector: PolicySelector::Fixed(policy),
@@ -1442,8 +900,8 @@ mod tests {
             factor_permuted(&a32, &analysis.symbolic, &analysis.perm, &mut machine, &opts).unwrap()
         };
         for (policy, wins) in [(PolicyKind::P2, false), (PolicyKind::P4, true)] {
-            let (fd, sd) = run(PipelineOptions::default(), policy);
-            let (fp, sp) = run(PipelineOptions::pipelined(), policy);
+            let (fd, sd) = run(false, policy);
+            let (fp, sp) = run(true, policy);
             let bd: Vec<u32> = fd.slab.iter().map(|x| x.to_bits()).collect();
             let bp: Vec<u32> = fp.slab.iter().map(|x| x.to_bits()).collect();
             assert_eq!(bd, bp, "{policy}: cost-model route must not change the bits");
@@ -1476,7 +934,7 @@ mod tests {
         let analysis =
             analyze(&a, OrderingKind::NestedDissection, Some(&AmalgamationOptions::default()))
                 .unwrap();
-        let run = |pipeline: PipelineOptions| {
+        let run = |pipeline: bool| {
             let mut cfg = mf_gpusim::tesla_t10();
             cfg.mem_bytes = 2_000; // 500 f32 elements — only small fronts fit
             let mut machine = Machine::with_gpu(mf_gpusim::xeon_5160_core(), cfg);
@@ -1494,8 +952,8 @@ mod tests {
             )
             .unwrap()
         };
-        let (fd, sd) = run(PipelineOptions::default());
-        let (fp, sp) = run(PipelineOptions::pipelined());
+        let (fd, sd) = run(false);
+        let (fp, sp) = run(true);
         assert!(sd.oom_fallbacks > 0, "test needs OOM pressure to be meaningful");
         assert_eq!(sp.oom_fallbacks, sd.oom_fallbacks);
         assert!(fd.slab.iter().zip(&fp.slab).all(|(x, y)| x.to_bits() == y.to_bits()));
@@ -1516,7 +974,7 @@ mod tests {
         let mut machine = Machine::paper_node();
         let opts = FactorOptions {
             selector: PolicySelector::Fixed(PolicyKind::P4),
-            pipeline: PipelineOptions::pipelined(),
+            pipeline: true,
             ..Default::default()
         };
         let err = factor_permuted(

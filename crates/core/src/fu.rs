@@ -94,7 +94,7 @@ pub struct FuOutcome {
 ///
 /// This is the drain-per-front path: the three pipeline phases run
 /// back-to-back, so the host blocks until this front's downloads complete
-/// before returning. The pipelined driver in `factor.rs` calls
+/// before returning. The event-chained driver in `multigpu.rs` calls
 /// [`dispatch_fu`], [`enqueue_downloads`] and [`finish_fu`] separately to
 /// overlap fronts across the PCIe bus and the compute engine.
 pub fn execute_fu<T: Scalar>(

@@ -45,8 +45,7 @@ pub mod tile;
 
 pub use arena::FrontArena;
 pub use factor::{
-    factor_permuted, CholeskyFactor, FactorError, FactorOptions, FrontStorage, PipelineOptions,
-    PolicySelector,
+    factor_permuted, CholeskyFactor, FactorError, FactorOptions, FrontStorage, PolicySelector,
 };
 pub use features::{raw_features, LinearPolicyModel, NUM_FEATURES};
 pub use frontal::{ChildUpdate, Front};
@@ -55,10 +54,7 @@ pub use fu::{
     finish_fu, try_dispatch_gpu, try_dispatch_gpu_batch, BatchError, FuBatchPending, FuContext,
     FuError, FuOutcome, FuPending, DEFAULT_PANEL_WIDTH,
 };
-pub use multigpu::{
-    factor_permuted_multigpu, factor_permuted_parallel_multigpu, proportional_map, DeviceMap,
-    MultiGpuOptions,
-};
+pub use multigpu::{factor_permuted_multigpu, proportional_map, DeviceMap};
 pub use ooc::{
     in_core_bytes, min_feasible_budget, plan_ooc, rehearse_stream_solve, OocError, OocEvent,
     OocEventKind, OocPlan, OocStats, PrecisionLadder, StreamSolveStats,
@@ -83,8 +79,7 @@ pub use mf_sparse::{analyze, analyze_parallel, Analysis, AnalyzeError};
 
 /// Convenient glob-import of the solver-facing API.
 pub mod prelude {
-    pub use crate::factor::{FactorOptions, PipelineOptions, PolicySelector};
-    pub use crate::multigpu::MultiGpuOptions;
+    pub use crate::factor::{FactorOptions, PolicySelector};
     pub use crate::ooc::{in_core_bytes, min_feasible_budget, OocError, PrecisionLadder};
     pub use crate::policy::{BaselineThresholds, PolicyKind};
     pub use crate::solver::{

@@ -1,7 +1,6 @@
-//! The multi-GPU execution layer (DESIGN.md §4.13): proportional mapping of
-//! elimination-subtree regions onto a [`DeviceSet`], peer-copy extend-add of
-//! cross-device contribution blocks, and a global look-ahead window that
-//! keeps every device fed while remote children are still in flight.
+//! The event-chained GPU driver (DESIGN.md §4.9): the one executor behind
+//! pipelined single-device runs, multi-device runs and pipelined parallel
+//! runs. One device is simply a [`DeviceSet`] of one.
 //!
 //! # Mapping
 //!
@@ -11,31 +10,42 @@
 //! is at or below `total / ndev` (and there are at least `ndev` chunks),
 //! then chunks are LPT-assigned to the least-loaded device. Split nodes —
 //! the *separator frontier* — ride with their heaviest child's device, so
-//! the top of the tree stays where most of its operands already live.
+//! the top of the tree stays where most of its operands already live. On
+//! one device the map is the identity and the issue order is the postorder.
 //!
 //! # Execution
 //!
-//! Each device factors its region with the existing pipelined three-phase
-//! front machinery ([`crate::fu`]), driven in an interleaved issue order
+//! Every front runs the three-phase machinery of [`crate::fu`] (dispatch,
+//! event-gated downloads, finish), driven in an interleaved issue order
 //! (round-robin over per-device postorder queues) so that a front uploads
-//! to one device while another device's kernels run. Above the frontier, a
-//! front whose children were factored on *other* devices consumes their
-//! packed `m × m` contribution blocks via [`DeviceSet::p2p`] peer copies —
-//! event-chained, on the dedicated peer engine — instead of the
-//! d2h → host-assemble → h2d staging round-trip; the producing front's
-//! update download (and its host-side apply charge) is skipped entirely
-//! ([`enqueue_downloads_keep_update`]).
+//! to one device while another device's kernels run. A lane's staged front
+//! flushes only after the lane's next front has dispatched, so its upload
+//! overtakes the previous downloads on the copy engine. A parent waits on
+//! the completion events of its own children only, finishing them oldest
+//! first, and each worker keeps a bounded window of fronts in flight. Runs
+//! of small consecutive P4 fronts on one device share one batched dispatch.
+//!
+//! Above the frontier, a front whose children were factored on *other*
+//! devices consumes their packed `m × m` contribution blocks via
+//! [`DeviceSet::p2p`] peer copies — event-chained, on the dedicated peer
+//! engine — instead of the d2h → host-assemble → h2d staging round-trip;
+//! the producing front's update download (and its host-side apply charge)
+//! is skipped entirely ([`enqueue_downloads_keep_update`]).
+//!
+//! The driver also runs *timing-only*: every simulated charge, no numeric
+//! data. That rehearsal is the cost-model gate of single-device pipelining
+//! in [`crate::factor::factor_permuted`].
 //!
 //! # Determinism
 //!
 //! Host f32/f64 numerics are untouched: every front assembles from `A` plus
 //! its children's packed updates in fixed postorder child rank, and runs the
 //! exact per-front kernel sequence of the serial drain driver, so factor
-//! slabs are **bitwise identical** to the serial, pipelined and parallel
-//! drivers at every `(workers × devices)` combination. The peer-copy path
-//! changes only *simulated time*: the simulator's transfers are eager
-//! memcpys, so reading the still-device-resident update block yields the
-//! same bytes the download path would have produced (pinned by
+//! slabs are **bitwise identical** to the serial and parallel drivers at
+//! every `(workers × devices)` combination. The peer-copy path changes only
+//! *simulated time*: the simulator's transfers are eager memcpys, so reading
+//! the still-device-resident update block yields the same bytes the
+//! download path would have produced (pinned by
 //! `fu::tests::keep_update_path_is_bitwise_identical_to_download_path`).
 //! Device-OOM retry first drains the device to the serial driver's
 //! empty-device state, so P1-fallback decisions — the one place scheduling
@@ -43,12 +53,13 @@
 
 use crate::factor::{fu_ctx, fu_err_to_factor, CholeskyFactor, FactorError, FactorOptions};
 use crate::frontal::{
-    assemble_front_into, charge_panel_extract, charge_update_extract, copy_update_packed,
-    extract_panel_copy, extract_panel_into, ChildUpdate, Front,
+    assemble_front_into, charge_assemble, charge_panel_extract, charge_update_extract,
+    copy_update_packed, extract_panel_copy, ChildUpdate, Front,
 };
 use crate::fu::{
-    dispatch_fu, enqueue_downloads, enqueue_downloads_keep_update, finish_fu, try_dispatch_gpu,
-    FuPending, RemoteUpdate, S_COMPUTE, S_COPY,
+    dispatch_fu, enqueue_batch_downloads, enqueue_downloads, enqueue_downloads_keep_update,
+    execute_fu, finish_fu, try_dispatch_gpu, try_dispatch_gpu_batch, BatchError, FuBatchPending,
+    FuContext, FuPending, RemoteUpdate, S_COMPUTE, S_COPY,
 };
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
@@ -62,41 +73,20 @@ use mf_sparse::{Permutation, SymCsc};
 /// keep the single-device meanings).
 const S_PEER: usize = 2;
 
-/// Multi-device execution options, carried on
-/// [`FactorOptions::devices`](crate::factor::FactorOptions::devices).
-///
-/// With `count > 1` on a GPU machine with pipelining enabled,
-/// `factor_permuted`/`factor_permuted_parallel` route to the multi-GPU
-/// driver: the machine's device becomes device 0 of a [`DeviceSet`] of
-/// `count` identically-configured devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MultiGpuOptions {
-    /// Number of simulated devices. `1` (the default) keeps the
-    /// single-device drivers.
-    pub count: usize,
-    /// Global look-ahead window: maximum fronts with downloads outstanding
-    /// across the whole device set before the oldest is finished (never
-    /// below the device count, so every device can hold work).
-    pub look_ahead: usize,
-    /// Consume cross-device child updates via peer copies instead of host
-    /// staging. Off, every contribution block round-trips through the host
-    /// exactly as the single-device drivers do (an ablation knob — bits
-    /// never change either way).
-    pub peer_extend_add: bool,
-}
+/// Most fronts a worker keeps in flight on a one-device run before the
+/// oldest is finished (each holds its pinned staging generations leased).
+const WINDOW_ONE_DEVICE: usize = 3;
 
-impl Default for MultiGpuOptions {
-    fn default() -> Self {
-        MultiGpuOptions { count: 1, look_ahead: 8, peer_extend_add: true }
-    }
-}
+/// The in-flight window on a device set (never below the worker's lane
+/// count, so every device can hold work). The two windows are tuned per
+/// case: neither value is best for both (DESIGN.md §4.9).
+const WINDOW_DEVICE_SET: usize = 8;
 
-impl MultiGpuOptions {
-    /// `count` devices with the default look-ahead and peer extend-add on.
-    pub fn devices(count: usize) -> Self {
-        MultiGpuOptions { count, ..Default::default() }
-    }
-}
+/// Largest front order eligible for batched dispatch.
+const BATCH_MAX_FRONT: usize = 128;
+
+/// Most members of one batched dispatch.
+const BATCH_MAX_FRONTS: usize = 8;
 
 /// The proportional (Geist–Ng) device mapping of one elimination forest.
 #[derive(Debug, Clone)]
@@ -216,21 +206,25 @@ pub fn proportional_map(symbolic: &SymbolicFactor, ndev: usize) -> DeviceMap {
     DeviceMap { device_of, issue_order, load }
 }
 
-/// A dispatched front whose downloads are not enqueued yet (per-lane
-/// dispatch-before-flush staging, as the single-device pipelined driver).
-struct MgStaged<T> {
-    sn: usize,
-    buf: Vec<T>,
-    pending: FuPending,
+/// How a lane's staged fronts were dispatched.
+enum Dispatched {
+    Single(FuPending),
+    Batch(FuBatchPending),
 }
 
-/// A flushed front: downloads (or the peer-export) enqueued, panel and
-/// update extracted eagerly, extraction charges deferred to finish.
-struct MgInflight {
-    sn: usize,
+/// Fronts dispatched on one lane whose downloads are not enqueued yet: one
+/// front, or the members of one batched dispatch.
+struct Staged<T> {
+    sns: Vec<usize>,
+    bufs: Vec<Vec<T>>,
+    kind: Dispatched,
+}
+
+/// Flushed fronts: downloads (or the peer export) enqueued, panels and
+/// updates extracted eagerly, extraction charges deferred to finish.
+struct Inflight {
+    sns: Vec<usize>,
     lane: usize,
-    /// `(s, k, m)`.
-    dims: (usize, usize, usize),
     /// Update block exported device-side: its extract charge is skipped —
     /// the bytes never cross to the host.
     exported: bool,
@@ -247,11 +241,11 @@ struct WorkerState<'m, T> {
     /// Global device ids of this worker's lanes (`devs[lane]`), ascending.
     devs: Vec<usize>,
     pool: PinnedPool,
-    staged: Vec<Option<MgStaged<T>>>,
-    inflight: Vec<MgInflight>,
+    staged: Vec<Option<Staged<T>>>,
+    inflight: Vec<Inflight>,
 }
 
-/// Whole-run state of the multi-GPU driver.
+/// Whole-run state of the event-chained driver.
 struct MgRun<'a, 'm, T> {
     a: &'a SymCsc<T>,
     symbolic: &'a SymbolicFactor,
@@ -273,25 +267,54 @@ struct MgRun<'a, 'm, T> {
     stats: FactorStats,
     live: usize,
     peak: usize,
+    /// Per-worker in-flight window ([`WINDOW_ONE_DEVICE`] or
+    /// [`WINDOW_DEVICE_SET`]).
+    window: usize,
+    /// Timing-only mode: charge every simulated cost the real run would
+    /// charge, touch no numeric data. Simulated durations depend only on
+    /// shapes and machine configuration, so the rehearsed makespan is exact.
+    timing: bool,
+}
+
+/// `Front` views of a run of staged buffers.
+fn fronts_of<'b, T>(
+    symbolic: &SymbolicFactor,
+    sns: &[usize],
+    bufs: &'b mut [Vec<T>],
+) -> Vec<Front<'b, T>> {
+    sns.iter()
+        .zip(bufs)
+        .map(|(&sn, buf)| {
+            let info = &symbolic.supernodes[sn];
+            Front { s: info.front_size(), k: info.k(), data: &mut buf[..] }
+        })
+        .collect()
 }
 
 impl<T: Scalar> MgRun<'_, '_, T> {
-    fn take_dev(&mut self, w: usize, lane: usize) {
+    /// Run `f` with lane `lane`'s device installed as worker `w`'s machine
+    /// GPU — the single-device F-U interface — then put the device back.
+    fn on_lane<R>(&mut self, w: usize, lane: usize, f: impl FnOnce(&mut FuContext<'_>) -> R) -> R {
         let ws = &mut self.ws[w];
         debug_assert!(ws.machine.gpu.is_none(), "device take/put must nest");
         ws.machine.gpu = Some(ws.set.take(lane));
-    }
-
-    fn put_dev(&mut self, w: usize, lane: usize) {
-        let ws = &mut self.ws[w];
+        let r = f(&mut fu_ctx(ws.machine, &mut ws.pool, self.opts, self.timing));
         let g = ws.machine.gpu.take().expect("device must be present to restore");
         ws.set.restore(lane, g);
+        r
     }
 
     fn run(&mut self) -> Result<(), FactorError> {
-        let order = self.map.issue_order.clone();
-        for sn in order {
-            self.step(sn)?;
+        let order = std::mem::take(&mut self.map.issue_order);
+        let mut i = 0;
+        while i < order.len() {
+            let len = self.batch_run_len(&order[i..]);
+            if len > 1 {
+                self.step_batch(&order[i..i + len])?;
+            } else {
+                self.step(order[i])?;
+            }
+            i += len;
         }
         for w in 0..self.ws.len() {
             for lane in 0..self.ws[w].staged.len() {
@@ -309,6 +332,53 @@ impl<T: Scalar> MgRun<'_, '_, T> {
         Ok(())
     }
 
+    /// Length of the batchable run at the head of `order`: consecutive
+    /// P4-selected fronts of order at most [`BATCH_MAX_FRONT`] on one
+    /// device, none exporting its update, with no producer/consumer pair
+    /// inside the run (a member's children must have flushed before it
+    /// assembles). Returns 1 when the head front dispatches alone.
+    fn batch_run_len(&self, order: &[usize]) -> usize {
+        // Batches run the naive whole-front P4 plan; under the
+        // copy-optimized plan members dispatch singly so the transfer byte
+        // counts (and the bits) match the drain driver.
+        if self.opts.copy_optimized {
+            return 1;
+        }
+        let symbolic = self.symbolic;
+        let dev = self.map.device_of[order[0]];
+        let mut len = 0;
+        while len < BATCH_MAX_FRONTS.min(order.len()) {
+            let sn = order[len];
+            let info = &symbolic.supernodes[sn];
+            if info.front_size() > BATCH_MAX_FRONT
+                || self.map.device_of[sn] != dev
+                || self.exports_update(sn)
+                || self.opts.selector.choose(sn, info.m(), info.k()) != PolicyKind::P4
+                || symbolic.children[sn].iter().any(|c| order[..len].contains(c))
+            {
+                break;
+            }
+            len += 1;
+        }
+        len.max(1)
+    }
+
+    /// Whether `sn`'s update block stays device-resident for a peer-copy
+    /// extend-add: its parent lives on another device of the same worker
+    /// and will itself run on the GPU.
+    fn exports_update(&self, sn: usize) -> bool {
+        let info = &self.symbolic.supernodes[sn];
+        let parent = info.parent;
+        if info.m() == 0 || parent == usize::MAX {
+            return false;
+        }
+        let (dev, pdev) = (self.map.device_of[sn], self.map.device_of[parent]);
+        let pi = &self.symbolic.supernodes[parent];
+        pdev != dev
+            && self.worker_of[pdev] == self.worker_of[dev]
+            && self.opts.selector.choose(parent, pi.m(), pi.k()) != PolicyKind::P1
+    }
+
     fn step(&mut self, sn: usize) -> Result<(), FactorError> {
         let symbolic = self.symbolic;
         let info = &symbolic.supernodes[sn];
@@ -316,34 +386,19 @@ impl<T: Scalar> MgRun<'_, '_, T> {
         let dev = self.map.device_of[sn];
         let (w, lane) = (self.worker_of[dev], self.lane_of[dev]);
         self.ready_children(sn, w);
-        let mut front_data = self.assemble(sn, w);
+        let mut buf = self.assemble(sn, w);
         let policy = self.opts.selector.choose(sn, m, k);
         self.consume_child_exports(sn, w, lane, policy);
-        let mut front = Front { s, k, data: &mut front_data };
-        let dispatched = {
-            self.take_dev(w, lane);
-            let ws = &mut self.ws[w];
-            let mut ctx = fu_ctx(ws.machine, &mut ws.pool, self.opts);
-            let r = try_dispatch_gpu(&mut front, policy, &mut ctx);
-            self.put_dev(w, lane);
-            r.map_err(|e| fu_err_to_factor(info.col_start, e))?
-        };
-        let pending = match dispatched {
+        let mut front = Front { s, k, data: &mut buf };
+        let dispatched = self.on_lane(w, lane, |ctx| try_dispatch_gpu(&mut front, policy, ctx));
+        let pending = match dispatched.map_err(|e| fu_err_to_factor(info.col_start, e))? {
             Some(p) => p,
             None => {
-                // Device OOM: reach the drain driver's empty-device state on
-                // *this* device (its own inflight work finished, stranded
-                // exports evicted to the host) before retrying, so
-                // P1-fallback decisions match the serial driver bitwise.
-                self.flush_lane(w, lane);
-                self.drain_lane(w, lane);
-                self.evict_exports_on(dev);
-                self.take_dev(w, lane);
-                let ws = &mut self.ws[w];
-                let mut ctx = fu_ctx(ws.machine, &mut ws.pool, self.opts);
-                let r = dispatch_fu(&mut front, policy, &mut ctx);
-                self.put_dev(w, lane);
-                r.map_err(|e| fu_err_to_factor(info.col_start, e))?
+                // Device OOM: retry on this device's empty state; a second
+                // OOM falls back to P1 exactly as the drain driver does.
+                self.make_room(w, lane, dev);
+                let out = self.on_lane(w, lane, |ctx| dispatch_fu(&mut front, policy, ctx));
+                out.map_err(|e| fu_err_to_factor(info.col_start, e))?
             }
         };
         if pending.oom_fallback() {
@@ -351,38 +406,100 @@ impl<T: Scalar> MgRun<'_, '_, T> {
         }
         if pending.is_done() {
             // CPU-resident result (P1, or an m = 0 pivot): nothing in flight.
-            self.extract_inline(sn, &Front { s, k, data: &mut front_data }, w);
+            self.extract_inline(sn, &mut buf, w);
             self.live -= s * s;
             return Ok(());
         }
-        // Dispatch-before-flush: this front's upload is queued, so flushing
-        // the lane's previous front cannot delay it on the copy engine.
-        self.flush_lane(w, lane);
-        self.ws[w].staged[lane] = Some(MgStaged { sn, buf: front_data, pending });
-        self.enforce_window(w);
+        let staged = Staged { sns: vec![sn], bufs: vec![buf], kind: Dispatched::Single(pending) };
+        self.stage(w, lane, staged);
         Ok(())
     }
 
+    /// One batched dispatch of a run from [`Self::batch_run_len`].
+    fn step_batch(&mut self, sns: &[usize]) -> Result<(), FactorError> {
+        let symbolic = self.symbolic;
+        let dev = self.map.device_of[sns[0]];
+        let (w, lane) = (self.worker_of[dev], self.lane_of[dev]);
+        let mut bufs = Vec::with_capacity(sns.len());
+        for &sn in sns {
+            self.ready_children(sn, w);
+            bufs.push(self.assemble(sn, w));
+            self.consume_child_exports(sn, w, lane, PolicyKind::P4);
+        }
+        let batch_err =
+            |e: BatchError| fu_err_to_factor(symbolic.supernodes[sns[e.member]].col_start, e.error);
+        let mut batch = self
+            .on_lane(w, lane, |ctx| {
+                try_dispatch_gpu_batch(&mut fronts_of(symbolic, sns, &mut bufs), ctx)
+            })
+            .map_err(batch_err)?;
+        if batch.is_none() {
+            // Combined allocation OOM: retry once on the empty device.
+            self.make_room(w, lane, dev);
+            batch = self
+                .on_lane(w, lane, |ctx| {
+                    try_dispatch_gpu_batch(&mut fronts_of(symbolic, sns, &mut bufs), ctx)
+                })
+                .map_err(batch_err)?;
+        }
+        if let Some(b) = batch {
+            let staged = Staged { sns: sns.to_vec(), bufs, kind: Dispatched::Batch(b) };
+            self.stage(w, lane, staged);
+            return Ok(());
+        }
+        // The run does not fit even on an empty device: run the members one
+        // by one, drained, so every decision matches the drain driver's.
+        for (&sn, mut buf) in sns.iter().zip(bufs) {
+            let info = &symbolic.supernodes[sn];
+            let mut front = Front { s: info.front_size(), k: info.k(), data: &mut buf };
+            let out = self.on_lane(w, lane, |ctx| execute_fu(&mut front, PolicyKind::P4, ctx));
+            if out.map_err(|e| fu_err_to_factor(info.col_start, e))?.oom_fallback {
+                self.stats.oom_fallbacks += 1;
+            }
+            self.extract_inline(sn, &mut buf, w);
+            self.live -= info.front_size() * info.front_size();
+        }
+        Ok(())
+    }
+
+    /// Stage freshly dispatched fronts on a lane. Dispatch-before-flush:
+    /// their uploads are queued, so flushing the lane's previous fronts
+    /// cannot delay them on the copy engine. Then enforce the window.
+    fn stage(&mut self, w: usize, lane: usize, staged: Staged<T>) {
+        self.flush_lane(w, lane);
+        self.ws[w].staged[lane] = Some(staged);
+        let window = self.window.max(self.ws[w].staged.len());
+        while self.ws[w].inflight.len() > window {
+            let e = self.ws[w].inflight.remove(0);
+            self.finish_entry(w, e);
+        }
+    }
+
     /// Make `sn`'s child updates consumable. Children staged anywhere flush
-    /// (producing their update data and, cross-device, their exports). A
-    /// same-worker, non-exported in-flight child costs a host *event wait*;
-    /// an exported child costs nothing here — its ordering flows through
-    /// the peer-copy event on the consumer device, which is exactly the
-    /// cross-device look-ahead. Children of another worker carry no timing
-    /// edge (the parallel driver's convention for cross-worker hand-off).
+    /// (producing their update data and, cross-device, their exports). Then
+    /// worker `w`'s in-flight entries holding a non-exported child finish,
+    /// oldest first — a host *event wait*, not a device drain. An exported
+    /// child costs nothing here — its ordering flows through the peer-copy
+    /// event on the consumer device, which is exactly the cross-device
+    /// look-ahead. Children of another worker carry no timing edge (the
+    /// parallel driver's convention for cross-worker hand-off).
     fn ready_children(&mut self, sn: usize, w: usize) {
-        let kids = self.symbolic.children[sn].clone();
-        for &c in &kids {
+        let kids = &self.symbolic.children[sn];
+        for &c in kids {
             let cdev = self.map.device_of[c];
             let (cw, clane) = (self.worker_of[cdev], self.lane_of[cdev]);
-            if self.ws[cw].staged[clane].as_ref().is_some_and(|st| st.sn == c) {
+            if self.ws[cw].staged[clane].as_ref().is_some_and(|st| st.sns.contains(&c)) {
                 self.flush_lane(cw, clane);
             }
-            if cw == w && self.exports[c].is_none() {
-                if let Some(pos) = self.ws[w].inflight.iter().position(|e| e.sn == c) {
-                    let e = self.ws[w].inflight.remove(pos);
-                    self.finish_entry(w, e);
-                }
+        }
+        let mut j = 0;
+        while j < self.ws[w].inflight.len() {
+            let e = &self.ws[w].inflight[j];
+            if e.sns.iter().any(|x| kids.contains(x) && self.exports[*x].is_none()) {
+                let e = self.ws[w].inflight.remove(j);
+                self.finish_entry(w, e);
+            } else {
+                j += 1;
             }
         }
     }
@@ -391,34 +508,52 @@ impl<T: Scalar> MgRun<'_, '_, T> {
     /// packed updates in postorder child rank — the numerics are byte-for-
     /// byte the serial driver's regardless of where the children ran.
     fn assemble(&mut self, sn: usize, w: usize) -> Vec<T> {
-        let a = self.a;
-        let symbolic = self.symbolic;
+        let (a, symbolic) = (self.a, self.symbolic);
         let info = &symbolic.supernodes[sn];
         let s = info.front_size();
-        let child_bufs: Vec<(usize, Vec<T>)> = symbolic.children[sn]
+        let kids = &symbolic.children[sn];
+        let child_bufs: Vec<Vec<T>> = kids
             .iter()
-            .map(|&c| (c, self.updates[c].take().expect("child update must exist at issue")))
+            .map(|&c| self.updates[c].take().expect("child update must exist at issue"))
             .collect();
         self.stats.front_alloc_events += 1;
-        let mut front_data = vec![T::ZERO; s * s];
         self.live += s * s;
         self.peak = self.peak.max(self.live);
-        let children = child_bufs.iter().map(|(c, d)| ChildUpdate {
-            rows: symbolic.supernodes[*c].update_rows(),
+        for &c in kids {
+            self.live -= symbolic.supernodes[c].m().pow(2);
+        }
+        let host = &mut self.ws[w].machine.host;
+        if self.timing {
+            let a_nnz = (info.col_start..info.col_end).map(|c| a.col_rows(c).len()).sum();
+            let child_ms = kids.iter().map(|&c| symbolic.supernodes[c].m());
+            charge_assemble::<T>(a_nnz, s, info.k(), child_ms, host);
+            return Vec::new();
+        }
+        let mut front_data = vec![T::ZERO; s * s];
+        let children = kids.iter().zip(&child_bufs).map(|(&c, d)| ChildUpdate {
+            rows: symbolic.supernodes[c].update_rows(),
             data: &d[..],
         });
-        assemble_front_into(
-            a,
-            info,
-            children,
-            &mut front_data,
-            &mut self.rel,
-            &mut self.ws[w].machine.host,
-        );
-        for (_, d) in child_bufs {
-            self.live -= d.len();
-        }
+        assemble_front_into(a, info, children, &mut front_data, &mut self.rel, host);
         front_data
+    }
+
+    /// Keep `sn`'s packed `m × m` update for its parent's extend-add (an
+    /// empty placeholder in timing-only mode).
+    fn keep_update(&mut self, sn: usize, front_data: &[T]) {
+        let info = &self.symbolic.supernodes[sn];
+        let (s, k, m) = (info.front_size(), info.k(), info.m());
+        if m == 0 {
+            return;
+        }
+        self.stats.front_alloc_events += 1;
+        self.live += m * m;
+        let mut u = Vec::new();
+        if !self.timing {
+            u = vec![T::ZERO; m * m];
+            copy_update_packed(front_data, s, k, &mut u);
+        }
+        self.updates[sn] = Some(u);
     }
 
     /// Peer-copy every exported child update onto `sn`'s device: an `m × m`
@@ -429,8 +564,8 @@ impl<T: Scalar> MgRun<'_, '_, T> {
     /// no-op — the host already holds the authoritative update — so only
     /// the simulated timeline moves.
     fn consume_child_exports(&mut self, sn: usize, w: usize, lane: usize, policy: PolicyKind) {
-        let kids = self.symbolic.children[sn].clone();
-        for &c in &kids {
+        let symbolic = self.symbolic;
+        for &c in &symbolic.children[sn] {
             let Some(ru) = self.exports[c].take() else { continue };
             let cdev = self.map.device_of[c];
             let clane = self.lane_of[cdev];
@@ -468,96 +603,85 @@ impl<T: Scalar> MgRun<'_, '_, T> {
         }
     }
 
-    /// Phase 2 for a lane's staged front. When the parent lives on another
-    /// device of the same worker and will itself run on the GPU, the update
-    /// block stays device-resident as a [`RemoteUpdate`] export and its d2h
-    /// is skipped; otherwise the normal event-gated downloads enqueue.
-    /// Either way the panel and the (host-authoritative) packed update are
-    /// extracted eagerly, with the host charges deferred to finish.
+    /// Phase 2 for a lane's staged fronts. A single front whose update is
+    /// exported ([`Self::exports_update`]) keeps that block device-resident
+    /// as a [`RemoteUpdate`] and skips its d2h; otherwise the normal
+    /// event-gated downloads enqueue. Either way panels and the
+    /// (host-authoritative) packed updates are extracted eagerly, with the
+    /// host charges deferred to finish.
     fn flush_lane(&mut self, w: usize, lane: usize) {
-        let Some(MgStaged { sn, mut buf, mut pending }) = self.ws[w].staged[lane].take() else {
+        let Some(Staged { sns, mut bufs, kind }) = self.ws[w].staged[lane].take() else {
             return;
         };
         let symbolic = self.symbolic;
-        let info = &symbolic.supernodes[sn];
-        let (s, k, m) = (info.front_size(), info.k(), info.m());
-        let parent = info.parent;
-        let export = self.opts.devices.peer_extend_add
-            && m > 0
-            && parent != usize::MAX
-            && self.map.device_of[parent] != self.map.device_of[sn]
-            && self.worker_of[self.map.device_of[parent]] == w
-            && {
-                let pi = &symbolic.supernodes[parent];
-                self.opts.selector.choose(parent, pi.m(), pi.k()) != PolicyKind::P1
-            };
-        self.take_dev(w, lane);
-        let remote = {
-            let ws = &mut self.ws[w];
-            let mut ctx = fu_ctx(ws.machine, &mut ws.pool, self.opts);
-            let mut front = Front { s, k, data: &mut buf };
-            if export {
-                enqueue_downloads_keep_update(&mut front, &mut pending, &mut ctx)
-            } else {
-                enqueue_downloads(&mut front, &mut pending, &mut ctx);
-                None
+        let export = self.exports_update(sns[0]);
+        let (pending, remote) = self.on_lane(w, lane, |ctx| {
+            let mut fronts = fronts_of(symbolic, &sns, &mut bufs);
+            match kind {
+                Dispatched::Batch(b) => (enqueue_batch_downloads(&mut fronts, b, ctx), None),
+                Dispatched::Single(mut p) if export => {
+                    let remote = enqueue_downloads_keep_update(&mut fronts[0], &mut p, ctx);
+                    (p, remote)
+                }
+                Dispatched::Single(mut p) => {
+                    enqueue_downloads(&mut fronts[0], &mut p, ctx);
+                    (p, None)
+                }
             }
-        };
-        self.put_dev(w, lane);
-        let (p0, p1) = (self.panel_ptr[sn], self.panel_ptr[sn + 1]);
-        extract_panel_copy(&Front { s, k, data: &mut buf }, &mut self.slab[p0..p1]);
-        if m > 0 {
-            self.stats.front_alloc_events += 1;
-            let mut u = vec![T::ZERO; m * m];
-            copy_update_packed(&buf, s, k, &mut u);
-            self.live += m * m;
-            self.updates[sn] = Some(u);
+        });
+        for (&sn, buf) in sns.iter().zip(&mut bufs) {
+            let info = &symbolic.supernodes[sn];
+            let (s, k) = (info.front_size(), info.k());
+            if !self.timing {
+                let (p0, p1) = (self.panel_ptr[sn], self.panel_ptr[sn + 1]);
+                extract_panel_copy(&Front { s, k, data: &mut buf[..] }, &mut self.slab[p0..p1]);
+            }
+            self.keep_update(sn, buf);
+            self.live -= s * s;
         }
-        self.live -= s * s;
         let exported = remote.is_some();
         if let Some(ru) = remote {
-            self.exports[sn] = Some(ru);
+            self.exports[sns[0]] = Some(ru);
         }
-        self.ws[w].inflight.push(MgInflight { sn, lane, dims: (s, k, m), exported, pending });
+        self.ws[w].inflight.push(Inflight { sns, lane, exported, pending });
     }
 
     /// Drain-path extraction for fronts with no device work outstanding.
-    fn extract_inline(&mut self, sn: usize, front: &Front<'_, T>, w: usize) {
+    fn extract_inline(&mut self, sn: usize, data: &mut [T], w: usize) {
         let info = &self.symbolic.supernodes[sn];
-        let (s, k, m) = (info.front_size(), info.k(), info.m());
-        let (p0, p1) = (self.panel_ptr[sn], self.panel_ptr[sn + 1]);
-        extract_panel_into(front, &mut self.slab[p0..p1], &mut self.ws[w].machine.host);
-        charge_update_extract::<T>(m, &mut self.ws[w].machine.host);
-        if m > 0 {
-            self.stats.front_alloc_events += 1;
-            let mut u = vec![T::ZERO; m * m];
-            copy_update_packed(front.data, s, k, &mut u);
-            self.live += m * m;
-            self.updates[sn] = Some(u);
+        let (s, k) = (info.front_size(), info.k());
+        if !self.timing {
+            let (p0, p1) = (self.panel_ptr[sn], self.panel_ptr[sn + 1]);
+            extract_panel_copy(&Front { s, k, data: &mut *data }, &mut self.slab[p0..p1]);
         }
+        let host = &mut self.ws[w].machine.host;
+        charge_panel_extract::<T>(s, k, host);
+        charge_update_extract::<T>(info.m(), host);
+        self.keep_update(sn, data);
     }
 
     /// Phase 3 for one in-flight entry: host event wait, device buffers
     /// free, deferred extraction charges. An exported entry skips the
     /// update-extract charge — its block never crossed to the host.
-    fn finish_entry(&mut self, w: usize, e: MgInflight) {
-        let MgInflight { lane, dims: (s, k, m), exported, mut pending, .. } = e;
-        self.take_dev(w, lane);
-        {
-            let ws = &mut self.ws[w];
-            let mut ctx = fu_ctx(ws.machine, &mut ws.pool, self.opts);
-            finish_fu(&mut pending, &mut ctx);
-        }
-        self.put_dev(w, lane);
+    fn finish_entry(&mut self, w: usize, e: Inflight) {
+        let Inflight { sns, lane, exported, mut pending } = e;
+        self.on_lane(w, lane, |ctx| finish_fu(&mut pending, ctx));
         let host = &mut self.ws[w].machine.host;
-        charge_panel_extract::<T>(s, k, host);
-        if !exported {
-            charge_update_extract::<T>(m, host);
+        for sn in sns {
+            let info = &self.symbolic.supernodes[sn];
+            charge_panel_extract::<T>(info.front_size(), info.k(), host);
+            if !exported {
+                charge_update_extract::<T>(info.m(), host);
+            }
         }
     }
 
-    /// Finish every in-flight entry running on one lane (FIFO within it).
-    fn drain_lane(&mut self, w: usize, lane: usize) {
+    /// Reach the drain driver's empty-device state on global device `dev`
+    /// (lane `lane` of worker `w`) ahead of an OOM retry: its staged and
+    /// in-flight fronts finish (FIFO) and its stranded exports are evicted
+    /// to the host, so P1-fallback decisions match the serial driver.
+    fn make_room(&mut self, w: usize, lane: usize, dev: usize) {
+        self.flush_lane(w, lane);
         let mut j = 0;
         while j < self.ws[w].inflight.len() {
             if self.ws[w].inflight[j].lane == lane {
@@ -567,6 +691,13 @@ impl<T: Scalar> MgRun<'_, '_, T> {
                 j += 1;
             }
         }
+        for c in 0..self.exports.len() {
+            if self.map.device_of[c] == dev {
+                if let Some(ru) = self.exports[c].take() {
+                    self.evict_one(w, lane, ru);
+                }
+            }
+        }
     }
 
     /// Host-staging fallback for one exported update: an event-gated d2h
@@ -574,73 +705,29 @@ impl<T: Scalar> MgRun<'_, '_, T> {
     /// transfer's simulated time matters) plus the update-extract charge
     /// its producer skipped, then the device buffer frees.
     fn evict_one(&mut self, w: usize, src_lane: usize, ru: RemoteUpdate) {
-        self.take_dev(w, src_lane);
-        {
-            let ws = &mut self.ws[w];
-            let slot = ws.pool.lease(ru.m * ru.m, &mut ws.machine.host);
-            let (host, gpu) = ws.machine.host_and_gpu().expect("lane device present");
+        self.on_lane(w, src_lane, |ctx| {
+            let slot = ctx.pool.lease(ru.m * ru.m, &mut ctx.machine.host);
+            let (host, gpu) = ctx.machine.host_and_gpu().expect("lane device present");
             let copy = gpu.stream(S_COPY);
             gpu.wait_event(copy, ru.ready);
-            gpu.d2h(
-                copy,
-                ru.view,
-                ru.m,
-                ru.m,
-                ws.pool.slot_mut(slot),
-                ru.m,
-                true,
-                CopyMode::Async,
-                host,
-            );
+            let dst = ctx.pool.slot_mut(slot);
+            gpu.d2h(copy, ru.view, ru.m, ru.m, dst, ru.m, true, CopyMode::Async, host);
             let ev = gpu.record_event(copy);
-            ws.pool.retire(slot, ev.0, host);
+            ctx.pool.retire(slot, ev.0, host);
             let _ = gpu.free(ru.buf);
             charge_update_extract::<T>(ru.m, host);
-        }
-        self.put_dev(w, src_lane);
-    }
-
-    /// Evict every stranded export resident on global device `dev` (frees
-    /// its memory ahead of an OOM retry on that device).
-    fn evict_exports_on(&mut self, dev: usize) {
-        for c in 0..self.exports.len() {
-            if self.exports[c].is_some() && self.map.device_of[c] == dev {
-                let ru = self.exports[c].take().expect("checked above");
-                self.evict_one(self.worker_of[dev], self.lane_of[dev], ru);
-            }
-        }
-    }
-
-    /// Enforce the global look-ahead window on worker `w`: finish oldest
-    /// entries until at most `max(look_ahead, lanes)` remain outstanding.
-    fn enforce_window(&mut self, w: usize) {
-        let window = self.opts.devices.look_ahead.max(self.ws[w].staged.len());
-        while self.ws[w].inflight.len() > window {
-            let e = self.ws[w].inflight.remove(0);
-            self.finish_entry(w, e);
-        }
+        });
     }
 }
 
-/// Single-machine multi-GPU entry: the machine's device drives lane 0 of a
-/// [`DeviceSet`] of `opts.devices.count` identical devices, all fed from
-/// this machine's host timeline. Reached from
-/// [`crate::factor::factor_permuted`] when `devices.count > 1` with
-/// pipelining enabled on a GPU machine.
-pub fn factor_permuted_multigpu<T: Scalar>(
-    a: &SymCsc<T>,
-    symbolic: &SymbolicFactor,
-    perm: &Permutation,
-    machine: &mut Machine,
-    opts: &FactorOptions,
-) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    factor_permuted_parallel_multigpu(a, symbolic, perm, std::slice::from_mut(machine), opts)
-}
-
-/// Multi-worker multi-GPU entry: devices are dealt round-robin over the
-/// GPU-bearing machines (device `d` → worker `d mod workers`), each worker
-/// cooperatively driving its lanes with the per-lane pipelined machinery.
+/// The event-chained driver entry, reached from
+/// [`crate::factor::factor_permuted`] (one machine) and
+/// [`crate::parallel::factor_permuted_parallel`] (several) for every
+/// in-core pipelined or multi-device run on a GPU machine.
 ///
+/// The `opts.devices` devices are dealt round-robin over the GPU-bearing
+/// machines (device `d` → worker `d mod workers`); each worker's own device
+/// is its first lane and the rest are identically-configured fresh devices.
 /// Worker host timelines are independent — cross-worker child hand-offs
 /// carry no timing edge, exactly the work-stealing parallel driver's
 /// convention — so a sequential cooperative schedule reproduces the same
@@ -648,18 +735,42 @@ pub fn factor_permuted_multigpu<T: Scalar>(
 /// `total_time` is the max over workers after all devices drain. Factor
 /// slabs are bitwise identical to the serial driver at every
 /// `(workers × devices)` combination (see the module docs).
-pub fn factor_permuted_parallel_multigpu<T: Scalar>(
+pub fn factor_permuted_multigpu<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
     perm: &Permutation,
     machines: &mut [Machine],
     opts: &FactorOptions,
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
-    let ndev = opts.devices.count.max(1);
+    let (slab, panel_ptr, stats) = drive(a, symbolic, machines, opts, false)?;
+    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab, panel_ptr }, stats))
+}
+
+/// Timing-only run of the driver on `machine` (pass a fresh twin: its
+/// device is switched to virtual mode). Returns the exact simulated
+/// makespan the real run would report; no numeric buffer is allocated.
+pub(crate) fn rehearse_makespan<T: Scalar>(
+    a: &SymCsc<T>,
+    symbolic: &SymbolicFactor,
+    machine: &mut Machine,
+    opts: &FactorOptions,
+) -> f64 {
+    let run = drive(a, symbolic, std::slice::from_mut(machine), opts, true);
+    run.expect("timing-only rehearsal sees no data, so no pivot can fail").2.total_time
+}
+
+fn drive<T: Scalar>(
+    a: &SymCsc<T>,
+    symbolic: &SymbolicFactor,
+    machines: &mut [Machine],
+    opts: &FactorOptions,
+    timing: bool,
+) -> Result<(Vec<T>, Vec<usize>, FactorStats), FactorError> {
+    let ndev = opts.devices.max(1);
     let nsn = symbolic.num_supernodes();
     let wall0 = std::time::Instant::now();
     let mut drivers: Vec<&mut Machine> = machines.iter_mut().filter(|m| m.gpu.is_some()).collect();
-    assert!(!drivers.is_empty(), "multi-GPU factorization needs a GPU machine");
+    assert!(!drivers.is_empty(), "the event-chained driver needs a GPU machine");
     drivers.truncate(ndev);
     let nw = drivers.len();
 
@@ -674,20 +785,23 @@ pub fn factor_permuted_parallel_multigpu<T: Scalar>(
     }
 
     let mut ws: Vec<WorkerState<'_, T>> = Vec::with_capacity(nw);
-    for (w, machine) in drivers.into_iter().enumerate() {
+    for (machine, devs) in drivers.into_iter().zip(devs_per_worker) {
         let own = machine.gpu.take().expect("driver machines carry a device");
         let cfg = own.config().clone();
         let mut gpus = vec![own];
-        for _ in 1..devs_per_worker[w].len() {
-            gpus.push(Gpu::new(cfg.clone()));
+        gpus.extend((1..devs.len()).map(|_| Gpu::new(cfg.clone())));
+        if timing {
+            gpus.iter_mut().for_each(|g| g.set_virtual(true));
         }
-        let nlanes = gpus.len();
+        let mut pool =
+            if opts.pinned_reuse { PinnedPool::new(2) } else { PinnedPool::without_reuse(2) };
+        pool.set_virtual(timing);
         ws.push(WorkerState {
             machine,
             set: DeviceSet::from_gpus(gpus),
-            devs: devs_per_worker[w].clone(),
-            pool: if opts.pinned_reuse { PinnedPool::new(2) } else { PinnedPool::without_reuse(2) },
-            staged: (0..nlanes).map(|_| None).collect(),
+            staged: devs.iter().map(|_| None).collect(),
+            devs,
+            pool,
             inflight: Vec::new(),
         });
     }
@@ -701,13 +815,15 @@ pub fn factor_permuted_parallel_multigpu<T: Scalar>(
         lane_of,
         ws,
         panel_ptr: symbolic.panel_ptr(),
-        slab: vec![T::ZERO; symbolic.factor_slab_len()],
+        slab: if timing { Vec::new() } else { vec![T::ZERO; symbolic.factor_slab_len()] },
         updates: (0..nsn).map(|_| None).collect(),
         exports: (0..nsn).map(|_| None).collect(),
         rel: Vec::new(),
         stats: FactorStats { front_alloc_events: 1, ..Default::default() },
         live: 0,
         peak: 0,
+        window: if ndev == 1 { WINDOW_ONE_DEVICE } else { WINDOW_DEVICE_SET },
+        timing,
     };
     let result = run.run();
 
@@ -729,26 +845,25 @@ pub fn factor_permuted_parallel_multigpu<T: Scalar>(
         }
         peer += wsi.set.peer_bytes();
     }
-    let MgRun { slab, panel_ptr, mut stats, ws: mut workers, peak, .. } = run;
+    let MgRun { slab, panel_ptr, mut stats, ws: workers, peak, .. } = run;
     stats.peak_front_bytes = peak * T::BYTES;
     stats.total_time = total;
     stats.gpu = Some(agg);
     stats.gpu_devices = per_dev;
     stats.peer_bytes = peer;
     stats.wall_time = wall0.elapsed().as_secs_f64();
-    for w in workers.iter_mut() {
+    for mut w in workers {
         debug_assert!(w.machine.gpu.is_none());
         w.machine.gpu = Some(w.set.take(0));
     }
-    drop(workers);
     result?;
-    Ok((CholeskyFactor { symbolic: symbolic.clone(), perm: perm.clone(), slab, panel_ptr }, stats))
+    Ok((slab, panel_ptr, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factor::{factor_permuted, FactorOptions, PipelineOptions, PolicySelector};
+    use crate::factor::{factor_permuted, FactorOptions, PolicySelector};
     use crate::parallel::{factor_permuted_parallel, ParallelOptions};
     use crate::policy::BaselineThresholds;
     use mf_matgen::{laplacian_3d, Stencil};
@@ -802,7 +917,7 @@ mod tests {
     fn multigpu_matches_serial_drain_bitwise_with_peer_traffic() {
         let analysis = grid_analysis(7, 6, 6);
         let a32: SymCsc<f32> = analysis.permuted.0.cast();
-        let run = |devices: MultiGpuOptions, pipeline: PipelineOptions| {
+        let run = |devices: usize, pipeline: bool| {
             let mut machine = Machine::paper_node();
             let opts = FactorOptions {
                 selector: PolicySelector::Fixed(PolicyKind::P4),
@@ -816,9 +931,9 @@ mod tests {
                 })
                 .unwrap()
         };
-        let (fd, _) = run(MultiGpuOptions::default(), PipelineOptions::default());
+        let (fd, _) = run(1, false);
         for ndev in [2usize, 4] {
-            let (fm, sm) = run(MultiGpuOptions::devices(ndev), PipelineOptions::pipelined());
+            let (fm, sm) = run(ndev, true);
             assert_eq!(
                 bits(&fd.slab),
                 bits(&fm.slab),
@@ -832,6 +947,28 @@ mod tests {
     }
 
     #[test]
+    fn device_count_alone_selects_the_event_chained_driver() {
+        // `devices > 1` without `pipeline` runs the device set, not a
+        // single-device drain — at both entries, with drain-identical bits.
+        let analysis = grid_analysis(7, 6, 6);
+        let a32: SymCsc<f32> = analysis.permuted.0.cast();
+        let drain =
+            FactorOptions { selector: PolicySelector::Fixed(PolicyKind::P4), ..Default::default() };
+        let set = FactorOptions { devices: 4, pipeline: false, ..drain.clone() };
+        let (an, sym, perm) = (&a32, &analysis.symbolic, &analysis.perm);
+        let (fd, sd) = factor_permuted(an, sym, perm, &mut Machine::paper_node(), &drain).unwrap();
+        assert!(sd.gpu_devices.is_empty(), "the drain driver reports no device set");
+        let (fs, ss) = factor_permuted(an, sym, perm, &mut Machine::paper_node(), &set).unwrap();
+        assert_eq!(ss.gpu_devices.len(), 4);
+        assert_eq!(bits(&fd.slab), bits(&fs.slab));
+        let mut machines = vec![Machine::paper_node(), Machine::paper_node()];
+        let par = ParallelOptions::default();
+        let (fp, sp) = factor_permuted_parallel(an, sym, perm, &mut machines, &set, &par).unwrap();
+        assert_eq!(sp.gpu_devices.len(), 4);
+        assert_eq!(bits(&fd.slab), bits(&fp.slab));
+    }
+
+    #[test]
     fn multigpu_beats_single_device_pipelined_on_gpu_heavy_grids() {
         let analysis = grid_analysis(9, 9, 8);
         let a32: SymCsc<f32> = analysis.permuted.0.cast();
@@ -840,8 +977,8 @@ mod tests {
             let opts = FactorOptions {
                 selector: PolicySelector::Fixed(PolicyKind::P4),
                 copy_optimized: true,
-                pipeline: PipelineOptions::pipelined(),
-                devices: MultiGpuOptions::devices(ndev),
+                pipeline: true,
+                devices: ndev,
                 ..Default::default()
             };
             let (_, stats) =
@@ -872,8 +1009,8 @@ mod tests {
             let mut machines: Vec<Machine> = (0..workers).map(|_| Machine::paper_node()).collect();
             let opts = FactorOptions {
                 selector: PolicySelector::Baseline(BaselineThresholds::default()),
-                pipeline: PipelineOptions::pipelined(),
-                devices: MultiGpuOptions::devices(ndev),
+                pipeline: true,
+                devices: ndev,
                 ..Default::default()
             };
             let (fm, sm) = factor_permuted_parallel(
@@ -899,7 +1036,7 @@ mod tests {
     fn multigpu_oom_fallbacks_match_drain_driver() {
         let analysis = grid_analysis(6, 6, 5);
         let a32: SymCsc<f32> = analysis.permuted.0.cast();
-        let run = |devices: MultiGpuOptions, pipeline: PipelineOptions| {
+        let run = |devices: usize, pipeline: bool| {
             let mut cfg = mf_gpusim::tesla_t10();
             cfg.mem_bytes = 2_000; // 500 f32 elements — only small fronts fit
             let mut machine = Machine::with_gpu(mf_gpusim::xeon_5160_core(), cfg);
@@ -911,10 +1048,10 @@ mod tests {
             };
             factor_permuted(&a32, &analysis.symbolic, &analysis.perm, &mut machine, &opts).unwrap()
         };
-        let (fd, sd) = run(MultiGpuOptions::default(), PipelineOptions::default());
+        let (fd, sd) = run(1, false);
         assert!(sd.oom_fallbacks > 0, "test needs OOM pressure to be meaningful");
         for ndev in [2usize, 4] {
-            let (fm, sm) = run(MultiGpuOptions::devices(ndev), PipelineOptions::pipelined());
+            let (fm, sm) = run(ndev, true);
             assert_eq!(sm.oom_fallbacks, sd.oom_fallbacks, "{ndev}-device OOM decisions");
             assert_eq!(bits(&fd.slab), bits(&fm.slab), "{ndev}-device OOM bits");
         }
@@ -934,8 +1071,8 @@ mod tests {
         let mut machine = Machine::paper_node();
         let opts = FactorOptions {
             selector: PolicySelector::Fixed(PolicyKind::P4),
-            pipeline: PipelineOptions::pipelined(),
-            devices: MultiGpuOptions::devices(2),
+            pipeline: true,
+            devices: 2,
             ..Default::default()
         };
         let err = factor_permuted(

@@ -28,11 +28,8 @@ use crate::factor::{
     fu_err_to_factor, process_supernode, CholeskyFactor, FactorError, FactorOptions, FrontStorage,
 };
 use crate::frontal::{
-    assemble_front_into, charge_panel_extract, charge_update_extract, copy_update_packed,
-    extract_panel_copy, extract_panel_into, ChildUpdate, Front,
-};
-use crate::fu::{
-    dispatch_fu, enqueue_downloads, finish_fu, try_dispatch_gpu, FuContext, FuPending,
+    assemble_front_into, charge_update_extract, copy_update_packed, extract_panel_into,
+    ChildUpdate, Front,
 };
 use crate::pinned_pool::PinnedPool;
 use crate::policy::PolicyKind;
@@ -399,36 +396,6 @@ struct WorkerCtx<'m, T> {
     peak_front: usize,
     /// Front-storage heap allocations this worker performed.
     allocs: u64,
-    /// Pipelined mode: this worker's fronts with downloads still
-    /// outstanding on its own device — `(sn, pending, (s, k, m))`, oldest
-    /// first. Data is already extracted (the simulator computes numerics
-    /// eagerly); only the d2h completion wait and the extraction charges
-    /// are deferred.
-    inflight: Vec<(usize, FuPending, (usize, usize, usize))>,
-}
-
-/// Finish one of a worker's in-flight fronts: host waits on its `done`
-/// event, device buffers free, and the deferred extraction charges land in
-/// the drain driver's per-front order.
-fn finish_worker_inflight<T: Scalar>(
-    machine: &mut Machine,
-    pool: &mut PinnedPool,
-    opts: &FactorOptions,
-    mut pending: FuPending,
-    (s, k, m): (usize, usize, usize),
-) {
-    let mut ctx = FuContext {
-        machine: &mut *machine,
-        pool,
-        panel_width: opts.panel_width,
-        copy_optimized: opts.copy_optimized,
-        timing_only: false,
-        kernel_threads: None,
-        tiling: opts.tiling,
-    };
-    finish_fu(&mut pending, &mut ctx);
-    charge_panel_extract::<T>(s, k, &mut machine.host);
-    charge_update_extract::<T>(m, &mut machine.host);
 }
 
 /// Raw-pointer view of the factor slab letting workers write their
@@ -475,8 +442,8 @@ impl<T> SharedSlab<T> {
 /// worker count.
 ///
 /// Fronts the serial driver would run through the canonical tiled CPU body
-/// (P1-selected, at or above [`crate::tile::TilingOptions::min_front`],
-/// non-pipelined) are expanded in the task graph into their
+/// (P1-selected, at or above [`crate::tile::TilingOptions::min_front`]) are
+/// expanded in the task graph into their
 /// [`TilePlan`]'s tile DAG bracketed by assemble/extract tasks; tile tasks
 /// are pushed onto the executing worker's own deque and stolen by idle
 /// siblings. The plan's dependency lists fix the per-tile reduction order
@@ -488,6 +455,14 @@ impl<T> SharedSlab<T> {
 /// is the real measured wall-clock of this call — the quantity the
 /// `factor_parallel` bench compares against [`simulate_tree_schedule`]'s
 /// predicted makespan.
+///
+/// Pipelined (`opts.pipeline`) and multi-device (`opts.devices > 1`) runs
+/// on GPU machines, in core, do not use the work-stealing runtime: they run
+/// the event-chained driver [`crate::multigpu::factor_permuted_multigpu`],
+/// which deals the `opts.devices` devices round-robin over the GPU-bearing
+/// machines (so one device means one driving machine) and ignores `par`.
+/// There is no pipelining cost-model gate on this entry. The factor is
+/// still bitwise identical to the serial driver's.
 pub fn factor_permuted_parallel<T: Scalar>(
     a: &SymCsc<T>,
     symbolic: &SymbolicFactor,
@@ -498,17 +473,14 @@ pub fn factor_permuted_parallel<T: Scalar>(
 ) -> Result<(CholeskyFactor<T>, FactorStats), FactorError> {
     let workers = machines.len();
     assert!(workers >= 1, "need at least one worker machine");
-    // Multi-device runs route to the cooperative multi-GPU driver: devices
-    // are dealt round-robin over the GPU-bearing machines, and
+    // Pipelined and multi-device runs route to the event-chained driver:
+    // devices are dealt round-robin over the GPU-bearing machines, and
     // `ParallelOptions` (a tree-level work-stealing knob) does not apply.
-    if opts.memory_budget.is_none()
-        && opts.devices.count > 1
-        && opts.pipeline.enabled
+    if (opts.pipeline || opts.devices > 1)
+        && opts.memory_budget.is_none()
         && machines.iter().any(|m| m.gpu.is_some())
     {
-        return crate::multigpu::factor_permuted_parallel_multigpu(
-            a, symbolic, perm, machines, opts,
-        );
+        return crate::multigpu::factor_permuted_multigpu(a, symbolic, perm, machines, opts);
     }
     let nsn = symbolic.num_supernodes();
     let wall0 = Instant::now();
@@ -532,12 +504,6 @@ pub fn factor_permuted_parallel<T: Scalar>(
     }
     let parents: Vec<usize> = symbolic.supernodes.iter().map(|s| s.parent).collect();
 
-    // Pipelined dispatch (per worker, against its own device). Per-call
-    // records are not collected in this mode — with fronts overlapping on
-    // the device, per-front time attribution is ill-defined. A memory
-    // budget forces the drain schedule (see `factor_permuted`).
-    let pipelined = opts.pipeline.enabled && ooc_plan.is_none();
-
     // Intra-front tile expansion: fronts the serial driver runs through the
     // canonical tiled CPU body (`fu_p1` at or above the tiling threshold)
     // get their tile DAG spliced into the task graph, so idle workers steal
@@ -545,7 +511,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
     // decided from the symbolic structure and the policy selector alone —
     // deterministic and known before the run starts.
     let mut plans: Vec<Option<TilePlan>> = vec![None; nsn];
-    if !pipelined && opts.tiling.enabled {
+    if opts.tiling.enabled {
         for (sn, plan) in plans.iter_mut().enumerate() {
             let info = &symbolic.supernodes[sn];
             if opts.selector.choose(sn, info.m(), info.k()) == PolicyKind::P1 {
@@ -658,7 +624,7 @@ pub fn factor_permuted_parallel<T: Scalar>(
         .iter_mut()
         .enumerate()
         .map(|(wid, machine)| {
-            machine.set_recording(opts.record_stats && !(pipelined && machine.gpu.is_some()));
+            machine.set_recording(opts.record_stats);
             let pool =
                 if opts.pinned_reuse { PinnedPool::new(2) } else { PinnedPool::without_reuse(2) };
             WorkerCtx {
@@ -672,7 +638,6 @@ pub fn factor_permuted_parallel<T: Scalar>(
                 rel: Vec::new(),
                 peak_front: 0,
                 allocs: 0,
-                inflight: Vec::new(),
             }
         })
         .collect();
@@ -833,22 +798,6 @@ pub fn factor_permuted_parallel<T: Scalar>(
         // surfaced as a structured error (still selected by minimal
         // postorder rank below) rather than a cascading panic.
         let kids = &symbolic.children[sn];
-        if pipelined && st.machine.gpu.is_some() {
-            // Event-wait on this worker's in-flight fronts that are
-            // children of `sn` — a wait on each child's d2h completion
-            // event, not a device drain. Children run by other workers
-            // carry no timing edge here: worker timelines are independent,
-            // exactly as in the drain parallel driver.
-            let mut j = 0;
-            while j < st.inflight.len() {
-                if kids.contains(&st.inflight[j].0) {
-                    let (_, pending, dims) = st.inflight.remove(j);
-                    finish_worker_inflight::<T>(st.machine, &mut st.pool, opts, pending, dims);
-                } else {
-                    j += 1;
-                }
-            }
-        }
         let mut child_bufs: Vec<(usize, Vec<T>)> = Vec::with_capacity(kids.len());
         for &c in kids {
             let taken = updates[c].lock().unwrap_or_else(|poison| poison.into_inner()).take();
@@ -887,113 +836,6 @@ pub fn factor_permuted_parallel<T: Scalar>(
             ChildUpdate { rows: ci.update_rows(), data: &d[..cm * cm] }
         });
         let width = budget.begin();
-        if pipelined && st.machine.gpu.is_some() {
-            // Pipelined per-worker dispatch: phases 1+2 run here; the
-            // host-blocking phase 3 is deferred until a dependent task, the
-            // depth limit, or the end-of-run drain forces it — so this
-            // worker's CPU work on later tasks overlaps its own device.
-            let mut front = assemble_front_into(
-                a,
-                info,
-                children,
-                &mut *front_data,
-                &mut st.rel,
-                &mut st.machine.host,
-            );
-            let policy = opts.selector.choose(sn, m, k);
-            let dispatched = {
-                let mut ctx = FuContext {
-                    machine: &mut *st.machine,
-                    pool: &mut st.pool,
-                    panel_width: opts.panel_width,
-                    copy_optimized: opts.copy_optimized,
-                    timing_only: false,
-                    kernel_threads: Some(width),
-                    tiling: opts.tiling,
-                };
-                try_dispatch_gpu(&mut front, policy, &mut ctx)
-            };
-            let dispatched = match dispatched {
-                Ok(d) => d,
-                Err(e) => {
-                    budget.end();
-                    return Err(fu_err_to_factor(info.col_start, e));
-                }
-            };
-            let mut pending = match dispatched {
-                Some(p) => p,
-                None => {
-                    // Device OOM: reach the drain driver's empty-device
-                    // state on this worker's device before retrying, so
-                    // P1-fallback decisions match it.
-                    while !st.inflight.is_empty() {
-                        let (_, p, dims) = st.inflight.remove(0);
-                        finish_worker_inflight::<T>(st.machine, &mut st.pool, opts, p, dims);
-                    }
-                    let retried = {
-                        let mut ctx = FuContext {
-                            machine: &mut *st.machine,
-                            pool: &mut st.pool,
-                            panel_width: opts.panel_width,
-                            copy_optimized: opts.copy_optimized,
-                            timing_only: false,
-                            kernel_threads: Some(width),
-                            tiling: opts.tiling,
-                        };
-                        dispatch_fu(&mut front, policy, &mut ctx)
-                    };
-                    match retried {
-                        Ok(p) => p,
-                        Err(e) => {
-                            budget.end();
-                            return Err(fu_err_to_factor(info.col_start, e));
-                        }
-                    }
-                }
-            };
-            {
-                let mut ctx = FuContext {
-                    machine: &mut *st.machine,
-                    pool: &mut st.pool,
-                    panel_width: opts.panel_width,
-                    copy_optimized: opts.copy_optimized,
-                    timing_only: false,
-                    kernel_threads: Some(width),
-                    tiling: opts.tiling,
-                };
-                enqueue_downloads(&mut front, &mut pending, &mut ctx);
-            }
-            budget.end();
-            if pending.oom_fallback() {
-                st.oom += 1;
-            }
-            // Extract now — the data exists (the simulator computes
-            // numerics eagerly at enqueue); only time is outstanding. The
-            // charge split matches the serial pipelined driver: inline for
-            // fronts with nothing outstanding, deferred to finish for the
-            // rest.
-            let outstanding = !pending.is_done();
-            if outstanding {
-                extract_panel_copy(&front, panel_out);
-            } else {
-                extract_panel_into(&front, panel_out, &mut st.machine.host);
-                charge_update_extract::<T>(m, &mut st.machine.host);
-            }
-            if m > 0 {
-                st.allocs += 1;
-                let mut u = vec![T::ZERO; m * m];
-                copy_update_packed(front_data, s, k, &mut u);
-                *updates[sn].lock().unwrap_or_else(|poison| poison.into_inner()) = Some(u);
-            }
-            if outstanding {
-                st.inflight.push((sn, pending, (s, k, m)));
-                while st.inflight.len() > opts.pipeline.depth {
-                    let (_, p, dims) = st.inflight.remove(0);
-                    finish_worker_inflight::<T>(st.machine, &mut st.pool, opts, p, dims);
-                }
-            }
-            return Ok(());
-        }
         let out = process_supernode(
             a,
             symbolic,
@@ -1044,16 +886,6 @@ pub fn factor_permuted_parallel<T: Scalar>(
     // Workers widened the process-global dense-engine cap while running;
     // restore whatever the caller had configured.
     mf_dense::set_num_threads(saved_cap);
-
-    // Pipelined mode: drain any fronts still in flight (timing only — the
-    // data landed at enqueue time), so per-worker clocks include their d2h
-    // completions.
-    for st in states.iter_mut() {
-        while !st.inflight.is_empty() {
-            let (_, p, dims) = st.inflight.remove(0);
-            finish_worker_inflight::<T>(st.machine, &mut st.pool, opts, p, dims);
-        }
-    }
 
     // front_alloc_events starts at 1 for the factor slab, plus one
     // dedicated buffer per tile-expanded front.
@@ -1477,7 +1309,6 @@ mod tests {
 
     #[test]
     fn parallel_pipelined_is_bitwise_drain() {
-        use crate::factor::PipelineOptions;
         use crate::policy::PolicyKind;
         let a = laplacian_3d(6, 6, 5, Stencil::Faces);
         let analysis =
@@ -1485,7 +1316,7 @@ mod tests {
                 .unwrap();
         let drain =
             FactorOptions { selector: PolicySelector::Fixed(PolicyKind::P4), ..Default::default() };
-        let piped = FactorOptions { pipeline: PipelineOptions::pipelined(), ..drain.clone() };
+        let piped = FactorOptions { pipeline: true, ..drain.clone() };
         let mut serial = Machine::paper_node();
         let (fs, _) = factor_permuted(
             &analysis.permuted.0,
@@ -1502,7 +1333,8 @@ mod tests {
                 &analysis.symbolic,
                 &analysis.perm,
                 &mut ms,
-                &piped,
+                // One device per worker: devices are dealt over the machines.
+                &FactorOptions { devices: w, ..piped.clone() },
                 &ParallelOptions { thread_budget: 2 },
             )
             .unwrap();

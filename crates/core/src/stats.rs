@@ -140,13 +140,18 @@ pub struct FactorStats {
     /// one entry per worker device (busy seconds summed, `gpus` counted),
     /// so utilization stays normalised per engine.
     pub gpu: Option<GpuUtilization>,
-    /// Per-device engine accounting from the multi-GPU driver, in global
-    /// device order (device 0 is the caller's own device). Empty for
-    /// single-device runs; `gpu` still carries the aggregate.
+    /// Per-device engine accounting from the event-chained driver
+    /// (`crate::multigpu`), in global device order (device 0 is the
+    /// caller's own device): one entry per device of the set, so an
+    /// event-chained one-device run reports one. Empty for runs that
+    /// drained per front (including a pipelined run the cost-model gate
+    /// sent back to drain), tree-parallel and budgeted runs; `gpu` still
+    /// carries the aggregate.
     pub gpu_devices: Vec<GpuUtilization>,
     /// Total bytes moved over peer (device-to-device) links by the
-    /// multi-GPU driver's peer-copy extend-adds. Zero for single-device
-    /// runs or with `MultiGpuOptions::peer_extend_add` off.
+    /// event-chained driver's peer-copy extend-adds. Reported by every
+    /// event-chained run; zero on one device, where no child update
+    /// crosses a device boundary.
     pub peer_bytes: usize,
     /// Residency/traffic accounting of a memory-budgeted run
     /// (`FactorOptions::memory_budget`): tier traffic, eviction/reload

@@ -5,7 +5,7 @@
 //! paper's estimate style implies (hardware-independent makespans of the
 //! paper's node), then the **real multi-GPU driver** — proportional
 //! subtree mapping, peer-copy extend-add, cross-device look-ahead
-//! (DESIGN.md §4.13) — on 1/2/4/8 simulated devices, and finally the
+//! (DESIGN.md §4.9) — on 1/2/4/8 simulated devices, and finally the
 //! work-stealing runtime *measuring* wall-clock seconds on this host. The
 //! sections are labelled distinctly; measured numbers agree with simulated
 //! ones only insofar as the host has hardware threads to spend.
@@ -16,7 +16,7 @@
 
 use gpu_multifrontal::core::{
     durations_by_supernode, factor_permuted, factor_permuted_parallel, simulate_tree_schedule,
-    FactorOptions, MoldableModel, MultiGpuOptions, ParallelOptions, PolicyKind, PolicySelector,
+    FactorOptions, MoldableModel, ParallelOptions, PolicyKind, PolicySelector,
 };
 use gpu_multifrontal::matgen::{laplacian_3d, Stencil};
 use gpu_multifrontal::prelude::*;
@@ -107,7 +107,7 @@ fn main() {
     let mut piped_machine = Machine::paper_node();
     let piped_opts = FactorOptions {
         selector: PolicySelector::Fixed(PolicyKind::P4),
-        pipeline: PipelineOptions::pipelined(),
+        pipeline: true,
         ..Default::default()
     };
     let (_, piped_p4) =
@@ -139,8 +139,8 @@ fn main() {
         let mut machine = Machine::paper_node();
         let opts = FactorOptions {
             selector: PolicySelector::Fixed(PolicyKind::P4),
-            pipeline: PipelineOptions::pipelined(),
-            devices: MultiGpuOptions::devices(d),
+            pipeline: true,
+            devices: d,
             ..Default::default()
         };
         let (f, st) =

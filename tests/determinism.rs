@@ -320,11 +320,10 @@ fn assert_pipelined_bitwise_drain<T: Scalar>(
     symbolic: &SymbolicFactor,
     perm: &Permutation,
 ) {
-    use gpu_multifrontal::core::PipelineOptions;
     for policy in [PolicyKind::P2, PolicyKind::P3, PolicyKind::P4] {
         let drain =
             FactorOptions { selector: PolicySelector::Fixed(policy), ..FactorOptions::default() };
-        let piped = FactorOptions { pipeline: PipelineOptions::pipelined(), ..drain.clone() };
+        let piped = FactorOptions { pipeline: true, ..drain.clone() };
         let mut m0 = Machine::paper_node();
         let (fd, sd) = factor_permuted(a, symbolic, perm, &mut m0, &drain).unwrap();
         let reference = panel_bits(&fd);
@@ -389,7 +388,6 @@ fn assert_multigpu_bitwise<T: Scalar>(
     perm: &Permutation,
     selector: PolicySelector,
 ) {
-    use gpu_multifrontal::core::{MultiGpuOptions, PipelineOptions};
     let serial_opts = FactorOptions { selector: selector.clone(), ..Default::default() };
     let mut m0 = Machine::paper_node();
     let (fs, ss) = factor_permuted(a, symbolic, perm, &mut m0, &serial_opts).unwrap();
@@ -397,8 +395,8 @@ fn assert_multigpu_bitwise<T: Scalar>(
     for ndev in [1usize, 2, 4, 8] {
         let opts = FactorOptions {
             selector: selector.clone(),
-            pipeline: PipelineOptions::pipelined(),
-            devices: MultiGpuOptions::devices(ndev),
+            pipeline: true,
+            devices: ndev,
             ..Default::default()
         };
         // Single-machine entry: one host timeline drives all `ndev` lanes.
@@ -475,7 +473,6 @@ fn multigpu_oom_pressure_matches_serial_and_recovers() {
     // affected device), and a failed factorization must surface the typed
     // error while leaving every machine's device restored — the machines
     // stay usable for the next run, nothing is poisoned.
-    use gpu_multifrontal::core::{MultiGpuOptions, PipelineOptions};
     use gpu_multifrontal::gpusim::{tesla_t10, xeon_5160_core};
     let small_machines = |workers: usize| -> Vec<Machine> {
         (0..workers)
@@ -494,11 +491,7 @@ fn multigpu_oom_pressure_matches_serial_and_recovers() {
     let mut m0 = small_machines(1);
     let (fs, ss) = factor_permuted(&a32, &an.symbolic, &an.perm, &mut m0[0], &serial_opts).unwrap();
     assert!(ss.oom_fallbacks > 0, "test needs OOM pressure to be meaningful");
-    let opts = FactorOptions {
-        pipeline: PipelineOptions::pipelined(),
-        devices: MultiGpuOptions::devices(4),
-        ..serial_opts.clone()
-    };
+    let opts = FactorOptions { pipeline: true, devices: 4, ..serial_opts.clone() };
     for workers in [1usize, 2] {
         let mut machines = small_machines(workers);
         let (fm, sm) = factor_permuted_parallel(

@@ -143,6 +143,24 @@ for t in "" "RUST_TEST_THREADS=1"; do
   }
 done
 
+# Dense-kernel properties: every packed kernel against its reference across
+# the trsm recursion and potrf block boundaries, the global column of a bad
+# pivot, and bitwise-identical results at every kernel thread count. Run by
+# name and counted, so a filter typo or a renamed test cannot silently skip
+# them.
+echo "==> dense kernel property suite (explicit, default + single test thread)"
+for t in "" "RUST_TEST_THREADS=1"; do
+  out=$(env $t cargo test --release -p mf-dense --test packed_properties 2>&1) || {
+    echo "$out"
+    exit 1
+  }
+  echo "$out" | grep -q "6 passed" || {
+    echo "expected exactly 6 dense kernel property tests to run:"
+    echo "$out"
+    exit 1
+  }
+done
+
 # Property tests for the out-of-core planner: residency never exceeds the
 # budget at any event for arbitrary structures/budgets/ladders, and f64
 # refinement converges through 16-bit spill storage.

@@ -25,7 +25,9 @@ fn rand_mat(rows: usize, cols: usize, seed: u64) -> DenseMat<f64> {
 
 fn bench_potrf(c: &mut Criterion) {
     let mut g = c.benchmark_group("potrf");
-    for n in [64usize, 128, 256] {
+    // 1024 and 2048 are front-scale pivot blocks: several 256-column
+    // panels, each a recursive trsm plus a rank-256 syrk.
+    for n in [64usize, 128, 256, 1024, 2048] {
         let a0 = random_spd::<f64>(n, 7);
         g.throughput(Throughput::Elements((n * n * n / 3) as u64));
         g.bench_with_input(BenchmarkId::new("packed", n), &n, |b, &n| {
@@ -78,7 +80,9 @@ fn bench_syrk(c: &mut Criterion) {
 
 fn bench_trsm(c: &mut Criterion) {
     let mut g = c.benchmark_group("trsm");
-    for (m, k) in [(256usize, 64usize), (512, 128), (2048, 64)] {
+    // 2048×512 and 4096×1024 are front-scale panel solves, where the
+    // recursive column split pays off.
+    for (m, k) in [(256usize, 64usize), (512, 128), (2048, 64), (2048, 512), (4096, 1024)] {
         let mut l = random_spd::<f64>(k, 5);
         potrf(k, l.as_mut_slice(), k).unwrap();
         let b0 = rand_mat(m, k, 6);

@@ -5,13 +5,16 @@
 //! each thread keeps one growable buffer that persists across calls — the
 //! same idea as the paper's reusable pinned-buffer pool (§V-A2), minus the
 //! pinning. The buffer is `u64`-backed so a single arena serves both `f32`
-//! and `f64` panels (alignment 8 ≥ alignment of every [`Scalar`]).
+//! and `f64` panels (alignment 8 ≥ alignment of every [`Scalar`]). A second
+//! buffer of the same kind stages operands for kernels that call the engine
+//! while holding them (`potrf`'s factored diagonal block).
 
 use crate::Scalar;
 use std::cell::RefCell;
 
 thread_local! {
     static SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static STAGING: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Words needed to hold `len` elements of `T`.
@@ -44,6 +47,23 @@ pub(crate) fn with_pack_buffers<T: Scalar, R>(
         let pb =
             unsafe { std::slice::from_raw_parts_mut(wb_slice.as_mut_ptr().cast::<T>(), len_b) };
         f(pa, pb)
+    })
+}
+
+/// Run `f` with an uninitialised `len`-element slice from this thread's
+/// persistent staging buffer. It is separate from the packing panels, so `f`
+/// may call the packed kernels; callers must write any element they read.
+pub(crate) fn with_staging<T: Scalar, R>(len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
+    STAGING.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        let need = words_for::<T>(len);
+        if buf.len() < need {
+            buf.resize(need, 0);
+        }
+        // SAFETY: as in `with_pack_buffers` — 8-byte aligned storage sized
+        // for `len` elements above.
+        let s = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<T>(), len) };
+        f(s)
     })
 }
 

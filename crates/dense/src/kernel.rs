@@ -111,17 +111,21 @@ pub(crate) fn gemm_engine<T: Scalar>(
     }
     // Disjoint NR-aligned column slabs: each worker owns its columns of C
     // outright, so no synchronisation is needed and per-column summation
-    // order (hence the bits of the result) is identical for every nt.
+    // order (hence the bits of the result) is identical for every nt. The
+    // calling thread runs the last slab itself.
     let chunk = n.div_ceil(nt).next_multiple_of(NR);
     std::thread::scope(|s| {
         let mut rest = c;
         let mut col0 = 0usize;
         while col0 < n {
             let cols = chunk.min(n - col0);
-            let take = if col0 + cols < n { cols * ldc } else { rest.len() };
-            let (mine, tail) = rest.split_at_mut(take);
-            rest = tail;
             let d = mask.map(|d| d + col0 as isize);
+            if col0 + cols == n {
+                gemm_slab(m, cols, kk, alpha, a, b, col0, rest, ldc, d);
+                break;
+            }
+            let (mine, tail) = rest.split_at_mut(cols * ldc);
+            rest = tail;
             s.spawn(move || gemm_slab(m, cols, kk, alpha, a, b, col0, mine, ldc, d));
             col0 += cols;
         }

@@ -8,7 +8,7 @@
 //! (`BENCH_dense.json`), not from comparing binaries.
 
 use crate::gemm::{axpy, scale_cols};
-use crate::potrf::{potrf_unblocked_offset, PotrfError, POTRF_BLOCK};
+use crate::potrf::{potrf_unblocked_offset, PotrfError};
 use crate::{Scalar, Transpose};
 
 /// Accumulate `C += α·op(A)·op(B)` with the seed loop nests (`β` already
@@ -200,12 +200,15 @@ pub fn trsm_right_lower_trans<T: Scalar>(
     }
 }
 
+/// Block size of the seed Cholesky.
+const NAIVE_POTRF_BLOCK: usize = 64;
+
 /// Seed blocked Cholesky over the seed `trsm`/`syrk` (benchmark baseline).
 pub fn potrf<T: Scalar>(n: usize, a: &mut [T], lda: usize) -> Result<(), PotrfError> {
     if n == 0 {
         return Ok(());
     }
-    let nb = POTRF_BLOCK;
+    let nb = NAIVE_POTRF_BLOCK;
     let mut diag_scratch = vec![T::ZERO; nb.min(n) * nb.min(n)];
     let mut j = 0;
     while j < n {

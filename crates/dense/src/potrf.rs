@@ -1,11 +1,22 @@
 //! Dense Cholesky factorization (lower).
 //!
 //! The blocked right-looking algorithm mirrors the structure the paper
-//! assigns to each factor-update call: an unblocked `potrf` on the diagonal
-//! block, a `trsm` on the panel below it, and a `syrk` trailing update —
-//! exactly the decomposition that the GPU panel algorithm of Figure 9
-//! performs with width `w` panels on the device.
+//! assigns to each factor-update call: a `potrf` on the diagonal block, a
+//! `trsm` on the panel below it, and a `syrk` trailing update — exactly the
+//! decomposition that the GPU panel algorithm of Figure 9 performs with
+//! width `w` panels on the device.
+//!
+//! The top-level block is [`POTRF_BLOCK`] = 256 columns, the packed
+//! engine's contraction depth `KC`, so each panel's `syrk` is one full-depth
+//! pass of the engine and the panel solve runs on the recursive
+//! [`trsm_right_lower_trans`]. Diagonal blocks recurse with a quarter block
+//! (256 → 64 → 16) and the 16-column blocks use the scalar loops. Every
+//! split depends only on `n`. The factored diagonal block is staged for the
+//! panel solve in a thread-local buffer of `min(nb, n)²` elements (at most
+//! `POTRF_BLOCK²` for [`potrf`]), so calls allocate only while a thread's
+//! buffer grows to that bound.
 
+use crate::arena::with_staging;
 use crate::syrk::syrk_lower;
 use crate::trsm::trsm_right_lower_trans;
 use crate::Scalar;
@@ -26,8 +37,8 @@ impl std::fmt::Display for PotrfError {
 
 impl std::error::Error for PotrfError {}
 
-/// Default block size for the blocked algorithm.
-pub const POTRF_BLOCK: usize = 64;
+/// Default block size for the blocked algorithm (the engine's `KC`).
+pub const POTRF_BLOCK: usize = 256;
 
 /// Unblocked lower Cholesky of the `n × n` leading block of `a` (leading
 /// dimension `lda`). Only the lower triangle is referenced/written.
@@ -113,7 +124,25 @@ fn potrf_blocked_offset<T: Scalar>(
         return Ok(());
     }
     debug_assert!(lda >= n && a.len() >= (n - 1) * lda + n);
-    let mut diag_scratch = vec![T::ZERO; nb.min(n) * nb.min(n)];
+    let jb_max = nb.min(n);
+    with_staging(jb_max * jb_max, |scratch| {
+        blocked_with_scratch(n, a, lda, nb, col_offset, scratch)
+    })
+}
+
+/// The blocked loop proper. `diag_scratch` holds at least `min(nb, n)²`
+/// elements; the recursive diagonal factor finishes before the panel copy
+/// reuses it, so every level shares the one buffer. Its strict upper
+/// triangle may hold stale values: the panel solve reads only the lower
+/// triangle the copy writes.
+fn blocked_with_scratch<T: Scalar>(
+    n: usize,
+    a: &mut [T],
+    lda: usize,
+    nb: usize,
+    col_offset: usize,
+    diag_scratch: &mut [T],
+) -> Result<(), PotrfError> {
     let mut j = 0;
     while j < n {
         let jb = nb.min(n - j);
@@ -123,12 +152,13 @@ fn potrf_blocked_offset<T: Scalar>(
         {
             let diag = &mut a[j * lda + j..];
             if jb > POTRF_UNBLOCKED_MAX && nb > POTRF_UNBLOCKED_MAX {
-                potrf_blocked_offset(
+                blocked_with_scratch(
                     jb,
                     diag,
                     lda,
                     (nb / 4).max(POTRF_UNBLOCKED_MAX),
                     col_offset + j,
+                    diag_scratch,
                 )?;
             } else {
                 potrf_unblocked_offset(jb, diag, lda, col_offset + j)?;
@@ -145,7 +175,7 @@ fn potrf_blocked_offset<T: Scalar>(
                 }
             }
             let below = &mut a[j * lda + j + jb..];
-            trsm_right_lower_trans(rest, jb, &diag_scratch, jb, below, lda);
+            trsm_right_lower_trans(rest, jb, diag_scratch, jb, below, lda);
             // Trailing update: A[j+jb.., j+jb..] −= panel · panelᵀ.
             let (panel_cols, trailing) = a.split_at_mut((j + jb) * lda);
             let panel = &panel_cols[j * lda + j + jb..];

@@ -10,9 +10,10 @@
 //!   only on the operand dimensions — never on values, the thread count, or
 //!   any global state — so a tile task produces the same bits whether it
 //!   runs serially in the canonical loop-nest order or on a stolen deque
-//!   slot. (`syrk`'s dispatch looks at `n·n·k/2`, `gemm`'s at `m·n·k`,
-//!   `trsm`'s at its block width, `potrf`'s at its fixed recursion — all
-//!   functions of the tile shape the symbolic plan fixed up front.)
+//!   slot. (`syrk`'s dispatch looks at `n·n·k/2`, `gemm`'s at `m·n·k`;
+//!   `trsm` splits its columns in halves rounded to 16 down to a 64-column
+//!   leaf, and `potrf` blocks at 256 → 64 → 16 columns — all functions of
+//!   the tile shape the symbolic plan fixed up front.)
 //! * **No shared packing state.** The engine's packing arena
 //!   ([`crate::arena`]) is thread-local, so concurrent tile tasks on
 //!   different workers never alias a staging panel; a task packs, computes

@@ -5,16 +5,28 @@
 //! Figure 1). The supernodal triangular solve phase additionally needs the
 //! left-side variants `L·X = B` (forward) and `Lᵀ·X = B` (backward).
 //!
-//! All three are blocked right-looking algorithms: a width-[`TRSM_BLOCK`]
-//! diagonal block is solved with the seed substitution loops, then the
-//! entire remaining trailing region is updated in one [`gemm`] call — which
-//! routes the O(n²)-per-block bulk of the work through the packed engine.
+//! The right-side solve is recursive: split the columns in two, solve the
+//! left half, fold it into the right half with one [`gemm`] whose inner
+//! dimension is half the block, and recurse on the right half. Every level
+//! streams the `m`-row panel once through the packed engine at a wide inner
+//! dimension, so the panel solve of a front runs at near-`gemm` rate. At
+//! [`TRSM_LEAF`] columns or fewer it drops to the blocked right-looking loop
+//! below. The splits depend only on `n`.
+//!
+//! The left-side solves are blocked right-looking algorithms: a
+//! width-[`TRSM_BLOCK`] diagonal block is solved with the seed substitution
+//! loops, then the entire remaining trailing region is updated in one
+//! [`gemm`] (or [`gemm_multi_rhs`]) call. They keep this fixed blocking
+//! because their `_multi` entries promise RHS-count invariance.
 
 use crate::gemm::{gemm, gemm_multi_rhs, Transpose};
 use crate::Scalar;
 
 /// Diagonal-block width of the blocked triangular solves.
 const TRSM_BLOCK: usize = 16;
+
+/// Widest right-side solve handled by the blocked loop; wider ones split.
+const TRSM_LEAF: usize = 64;
 
 /// Solve `X·Lᵀ = B` in place: `B` (`m × n`, leading dimension `ldb`) is
 /// overwritten by `X`; `L` is `n × n` lower triangular (leading dimension
@@ -32,11 +44,45 @@ pub fn trsm_right_lower_trans<T: Scalar>(
     }
     debug_assert!(lda >= n && a.len() >= (n - 1) * lda + n);
     debug_assert!(ldb >= m && b.len() >= (n - 1) * ldb + m);
-    if n <= TRSM_BLOCK {
-        return crate::naive::trsm_right_lower_trans(m, n, a, lda, b, ldb);
+    if n <= TRSM_LEAF {
+        return right_lower_trans_blocked(m, n, a, lda, b, ldb);
     }
-    // Right-looking: solve the columns of one diagonal block, then push the
-    // rank-w update X_blk·L₂₁ᵀ into every trailing column at once.
+    // [X₁ X₂]·[L₁₁ 0; L₂₁ L₂₂]ᵀ = [B₁ B₂]: X₁ = B₁·L₁₁⁻ᵀ, then
+    // X₂ = (B₂ − X₁·L₂₁ᵀ)·L₂₂⁻ᵀ. The split is a multiple of TRSM_BLOCK so
+    // the leaves keep whole diagonal blocks.
+    let n1 = (n / 2).next_multiple_of(TRSM_BLOCK);
+    trsm_right_lower_trans(m, n1, a, lda, b, ldb);
+    // X₁ and B₂ live in disjoint column ranges of B.
+    let (x1, b2) = b.split_at_mut(n1 * ldb);
+    gemm(
+        Transpose::No,
+        Transpose::Yes,
+        m,
+        n - n1,
+        n1,
+        -T::ONE,
+        x1,
+        ldb,
+        &a[n1..],
+        lda,
+        T::ONE,
+        b2,
+        ldb,
+    );
+    trsm_right_lower_trans(m, n - n1, &a[n1 + n1 * lda..], lda, b2, ldb);
+}
+
+/// Right-looking `X·Lᵀ = B` for `n ≤ TRSM_LEAF`: solve the columns of one
+/// width-`TRSM_BLOCK` diagonal block with the seed loop, then push its
+/// rank-`w` update into every trailing column at once.
+fn right_lower_trans_blocked<T: Scalar>(
+    m: usize,
+    n: usize,
+    a: &[T],
+    lda: usize,
+    b: &mut [T],
+    ldb: usize,
+) {
     let mut j0 = 0;
     while j0 < n {
         let j1 = (j0 + TRSM_BLOCK).min(n);

@@ -38,6 +38,22 @@ fn embed<T: Scalar>(m: &DenseMat<T>, pad: usize) -> (Vec<T>, usize) {
     (buf, ld)
 }
 
+/// An `n × n` column-major matrix whose lower triangle is strictly
+/// diagonally dominant (diagonal `n`, off-diagonal entries in ±0.5): SPD
+/// read as a symmetric lower triangle, and a well-conditioned triangular
+/// factor. Built in O(n²), unlike `random_spd`'s product.
+fn dominant_lower<T: Scalar>(n: usize, seed: u64) -> Vec<T> {
+    let mut rnd = xorshift(seed);
+    let mut a = vec![T::ZERO; n * n];
+    for j in 0..n {
+        a[j + j * n] = T::from_f64(n as f64);
+        for i in j + 1..n {
+            a[i + j * n] = T::from_f64(rnd());
+        }
+    }
+    a
+}
+
 fn coeff() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0), Just(1.0), Just(-1.0), Just(0.75)]
 }
@@ -229,13 +245,17 @@ proptest! {
         syrk_case::<f64>(n, k, pad, alpha, beta, seed, 1e-10)?;
         syrk_case::<f32>(n, k, pad, alpha, beta, seed, 1e-3)?;
     }
+}
 
-    /// Blocked trsm matches the reference solve across the naive/blocked
-    /// size boundary.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Recursive trsm matches the reference solve across the blocked-leaf
+    /// (n ≤ 64) and recursive-split boundaries.
     #[test]
     fn packed_trsm_matches_reference(
-        m in 1usize..80,
-        n in 1usize..80,
+        m in 1usize..320,
+        n in 1usize..600,
         pad in 0usize..4,
         seed in 0u64..1_000_000,
     ) {
@@ -243,17 +263,33 @@ proptest! {
         trsm_case::<f32>(m, n, pad, seed, 1e-2)?;
     }
 
-    /// Blocked potrf (with its recursive diagonal step) matches the
-    /// reference factorization.
+    /// Blocked potrf (256-column panels over a recursive 64/16 diagonal
+    /// step) matches the reference factorization across its block
+    /// boundaries.
     #[test]
     fn packed_potrf_matches_reference(
-        n in 1usize..150,
+        n in 1usize..600,
         pad in 0usize..4,
         seed in 0u64..1_000_000,
     ) {
         potrf_case::<f64>(n, pad, seed, 1e-9)?;
         potrf_case::<f32>(n, pad, seed, 1e-3)?;
     }
+}
+
+/// A non-positive pivot in the third 256-column block is reported at its
+/// global column, in both precisions.
+#[test]
+fn potrf_reports_global_column_past_the_first_blocks() {
+    fn case<T: Scalar>() {
+        let (n, bad) = (700usize, 601usize);
+        let mut a = dominant_lower::<T>(n, 5);
+        a[bad + bad * n] = T::from_f64(-1.0);
+        let err = potrf(n, &mut a, n).unwrap_err();
+        assert_eq!(err.column, bad, "{}", std::any::type_name::<T>());
+    }
+    case::<f64>();
+    case::<f32>();
 }
 
 /// The threading contract: a fixed build produces bitwise-identical results
@@ -269,6 +305,14 @@ fn thread_count_bitwise_determinism() {
     let c0: Vec<f64> = (0..m * n).map(|_| rnd()).collect();
     let sy: Vec<f64> = (0..n * n).map(|_| rnd()).collect();
 
+    // Front-scale panel solve and pivot factor: both cross the recursive
+    // trsm split and the 256-column potrf blocks.
+    let (tm, tn) = (1024usize, 700usize);
+    let l = dominant_lower::<f64>(tn, 3);
+    let tb: Vec<f64> = (0..tm * tn).map(|_| rnd()).collect();
+    let pn = 900usize;
+    let spd = dominant_lower::<f64>(pn, 4);
+
     let run = |threads: usize| {
         set_num_threads(threads);
         let mut c = c0.clone();
@@ -276,13 +320,20 @@ fn thread_count_bitwise_determinism() {
         let mut s = sy.clone();
         // Reinterpret `b`'s storage as an n × kk operand (lda = n).
         syrk_lower(n, kk, -1.0, &b, n, 1.0, &mut s, n);
+        let mut x = tb.clone();
+        trsm_right_lower_trans(tm, tn, &l, tn, &mut x, tm);
+        let mut f = spd.clone();
+        potrf(pn, &mut f, pn).unwrap();
         set_num_threads(0);
-        (c, s)
+        (c, s, x, f)
     };
-    let (c1, s1) = run(1);
+    let bits_eq = |p: &[f64], q: &[f64]| p.iter().zip(q).all(|(x, y)| x.to_bits() == y.to_bits());
+    let (c1, s1, x1, f1) = run(1);
     for t in [2, 3, 5, 8] {
-        let (ct, st) = run(t);
-        assert!(c1.iter().zip(&ct).all(|(x, y)| x.to_bits() == y.to_bits()), "gemm t={t}");
-        assert!(s1.iter().zip(&st).all(|(x, y)| x.to_bits() == y.to_bits()), "syrk t={t}");
+        let (ct, st, xt, ft) = run(t);
+        assert!(bits_eq(&c1, &ct), "gemm t={t}");
+        assert!(bits_eq(&s1, &st), "syrk t={t}");
+        assert!(bits_eq(&x1, &xt), "trsm t={t}");
+        assert!(bits_eq(&f1, &ft), "potrf t={t}");
     }
 }
